@@ -16,7 +16,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import acceptance, invariants, knots, mahler, rep_variety, series
 from .exact_linalg import AbelianGroup
@@ -281,6 +281,20 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 3 if failed else 0
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer >= low, so that argparse reports a
+    smaller value as a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="knotcover",
@@ -300,23 +314,25 @@ def build_parser() -> argparse.ArgumentParser:
     knot_command("alexander", "symmetrized Alexander polynomial, cross-checked")
 
     p = knot_command("invariant", "root-of-unity product and branched-cover homology")
-    p.add_argument("--n", type=int, required=True, metavar="N", help="cover degree / rank")
+    p.add_argument(
+        "--n", type=_int_at_least(2), required=True, metavar="N", help="cover degree / rank"
+    )
 
     p = knot_command("homology", "first homology of the cyclic branched cover")
-    p.add_argument("--n", type=int, required=True, metavar="N")
+    p.add_argument("--n", type=_int_at_least(2), required=True, metavar="N")
 
     p = knot_command("repvar", "flat-connection counts at rank N")
-    p.add_argument("--n", type=int, required=True, metavar="N")
+    p.add_argument("--n", type=_int_at_least(2), required=True, metavar="N")
     p.add_argument("--cap", type=int, default=100_000, help="enumeration cap")
 
     p = knot_command("series", "surgery series expansion in s")
     p.add_argument("--q-h", type=int, default=0, help="self-intersection Q(h)")
     p.add_argument("--f-h", type=int, default=1, help="pairing F.h of the fiber class")
-    p.add_argument("--order", type=int, default=10, help="truncation order")
+    p.add_argument("--order", type=_int_at_least(0), default=10, help="truncation order")
 
     p = knot_command("mahler", "Mahler measure and the growth table (CSV)")
     p.add_argument("--n-max", type=int, default=99, help="largest odd ladder degree")
-    p.add_argument("--samples", type=int, default=4096, help="integration grid size")
+    p.add_argument("--samples", type=_int_at_least(1), default=4096, help="integration grid size")
 
     p = sub.add_parser("dim", help="instanton charge and formal moduli dimension")
     p.add_argument("--json", action="store_true", help="machine-readable output")

@@ -2,11 +2,13 @@
 Exact linear algebra over the integers and over cyclotomic fields.
 
 Integer side: big-integer determinants, Smith normal form with recorded
-unimodular transforms, cokernels as abelian groups, companion matrices of
-1 + t + ... + t^(N-1), and evaluation of Laurent polynomials at integer
-matrices.  Cyclotomic side: arithmetic in Q(zeta_N) as polynomials reduced
-modulo the N-th cyclotomic polynomial, plus dense determinants over that
-field.  No floating point anywhere in this module.
+unimodular transforms, cokernels as abelian groups, the companion matrix tau
+of 1 + t + ... + t^(N-1), and delta(tau), built column by column by reducing
+t^j * delta modulo 1 + t + ... + t^(N-1): tau^N = I turns negative powers
+into positive ones, so no matrix product or inverse is needed.  Cyclotomic
+side: arithmetic in Q(zeta_N) as polynomials reduced modulo the N-th
+cyclotomic polynomial, plus dense determinants over that field.  No
+floating point anywhere in this module.
 """
 from __future__ import annotations
 
@@ -26,10 +28,6 @@ class NonSquare(ValueError):
 
 class BadRank(ValueError):
     """Companion-matrix rank parameter out of range."""
-
-
-class NotUnimodular(ValueError):
-    """Integer matrix inverse requested for a matrix of determinant not +-1."""
 
 
 def _as_rows(a: Sequence[Sequence[int]]) -> Matrix:
@@ -73,7 +71,7 @@ def mat_pow(a: Matrix, n: int) -> Matrix:
     if any(len(row) != len(a) for row in a):
         raise NonSquare("matrix power needs a square matrix")
     if n < 0:
-        raise ValueError("negative powers need matrix_inverse_unimodular")
+        raise ValueError(f"matrix power needs n >= 0, got {n}")
     out = _identity(len(a))
     base = [row[:] for row in a]
     while n:
@@ -301,56 +299,36 @@ def companion_tau(n: int) -> Matrix:
     return m
 
 
-def matrix_inverse_unimodular(a: Sequence[Sequence[int]]) -> Matrix:
-    """Exact inverse of an integer matrix of determinant +-1."""
-    rows = _as_rows(a)
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise NonSquare("inverse of a rectangular matrix")
-    d = _det_bareiss([row[:] for row in rows])
-    if d not in (1, -1):
-        raise NotUnimodular(f"determinant is {d}, not +-1")
-    # Gauss-Jordan on [a | I] over Q.
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    out = [[x for x in row[n:]] for row in aug]
-    assert all(x.denominator == 1 for row in out for x in row)
-    return [[int(x) for x in row] for row in out]
-
-
-def poly_at_matrix(p: LaurentPoly, a: Sequence[Sequence[int]]) -> Matrix:
+def poly_at_matrix(p: LaurentPoly, n: int) -> Matrix:
     """
-    Evaluate a Laurent polynomial at a square integer matrix.  Negative
-    powers use the exact inverse and require the matrix to be unimodular.
+    delta(tau): the Laurent polynomial p evaluated at companion_tau(n).
 
-    >>> poly_at_matrix(LaurentPoly(-1, (-1, 3, -1)), companion_tau(3))
+    tau is multiplication by t on Z[t]/(1 + t + ... + t^(n-1)) in the basis
+    1, t, ..., t^(n-2), so column j is t^j * p reduced modulo that
+    polynomial: exponents are taken mod n (since t^n = 1), then the t^(n-1)
+    coefficient is folded into the others through
+    t^(n-1) = -(1 + t + ... + t^(n-2)).  Integer work only, no matrix
+    products and no inverse.
+
+    >>> poly_at_matrix(LaurentPoly(-1, (1, -1, 1)), 2)
+    [[-3]]
+    >>> poly_at_matrix(LaurentPoly(-1, (-1, 3, -1)), 3)
     [[4, 0], [0, 4]]
     """
-    rows = _as_rows(a)
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise NonSquare("polynomial evaluation at a rectangular matrix")
-    if p.is_zero():
-        return [[0] * n for _ in range(n)]
-    acc = [[p.coeffs[-1] if i == j else 0 for j in range(n)] for i in range(n)]
-    for c in reversed(p.coeffs[:-1]):
-        acc = mat_mul(acc, rows)
-        for i in range(n):
-            acc[i][i] += c
-    if p.min_deg > 0:
-        acc = mat_mul(acc, mat_pow(rows, p.min_deg))
-    elif p.min_deg < 0:
-        acc = mat_mul(acc, mat_pow(matrix_inverse_unimodular(rows), -p.min_deg))
-    return acc
+    if n < 2:
+        raise BadRank(f"companion matrix needs n >= 2, got {n}")
+    r = [0] * n
+    for k, c in enumerate(p.coeffs, p.min_deg):
+        r[k % n] += c
+    # Entry (i, j) is r[(i - j) % n] - r[(n - 1 - j) % n]; with rev = r
+    # reversed and doubled, row i is the window rev[n-1-i : 2n-2-i] and the
+    # subtracted t^(n-1) coefficients are rev[:n-1].
+    rev = r[::-1] * 2
+    top = rev[: n - 1]
+    return [
+        [x - y for x, y in zip(rev[n - 1 - i : 2 * n - 2 - i], top)]
+        for i in range(n - 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

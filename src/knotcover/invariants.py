@@ -24,7 +24,6 @@ from .exact_linalg import (
     AbelianGroup,
     BadRank,
     cokernel,
-    companion_tau,
     det_exact,
     mat_pow,
     poly_at_matrix,
@@ -185,7 +184,7 @@ def q_relative(delta: LaurentPoly, n: int) -> RelativeInvariant:
     if (shift * (n - 1)) % 2 != 0:
         signed = -signed
 
-    via_det = det_exact(poly_at_matrix(delta, companion_tau(n)))
+    via_det = det_exact(poly_at_matrix(delta, n))
     if via_det != signed:
         raise CrossCheckMismatch(
             f"companion determinant {via_det} != resultant route {signed} at n={n}"
@@ -231,7 +230,7 @@ def branched_cover_homology(delta: LaurentPoly, n: int) -> AbelianGroup:
     """
     if n < 2:
         raise BadRank(f"need n >= 2, got {n}")
-    return cokernel(poly_at_matrix(delta, companion_tau(n)))
+    return cokernel(poly_at_matrix(delta, n))
 
 
 def cyclic_product_magnitude(delta: LaurentPoly, n: int) -> int:

@@ -266,7 +266,7 @@ def kernel_torus_solutions(
     """
     if n < 2:
         raise BadRank(f"need n >= 2, got {n}")
-    return _torus_solutions(poly_at_matrix(delta, companion_tau(n)), n, cap)
+    return _torus_solutions(poly_at_matrix(delta, n), n, cap)
 
 
 def wirtinger_torus_matrix(pres: WirtingerPresentation, n: int) -> list[list[int]]:

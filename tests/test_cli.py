@@ -242,3 +242,20 @@ def test_missing_required_option_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["invariant", "3_1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariant", "3_1", "--n", "1"],
+        ["homology", "3_1", "--n", "0"],
+        ["repvar", "3_1", "--n", "1"],
+        ["series", "3_1", "--order", "-1"],
+        ["mahler", "3_1", "--samples", "0"],
+    ],
+)
+def test_out_of_range_argument_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err

@@ -3,13 +3,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from knotcover import exact_linalg
 from knotcover.exact_linalg import (
     AbelianGroup,
     CycNumber,
     NonSquare,
-    NotUnimodular,
     SmithForm,
     cokernel,
     companion_tau,
@@ -20,11 +20,13 @@ from knotcover.exact_linalg import (
     mat_mul,
     mat_pow,
     mat_vec,
-    matrix_inverse_unimodular,
     poly_at_matrix,
     smith_normal_form,
 )
+from knotcover.invariants import branched_cover_homology, q_relative
+from knotcover.knots import KnotTable, alexander_checked
 from knotcover.laurent_poly import LaurentPoly
+from knotcover.rep_variety import kernel_torus_solutions
 
 int_matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda r: st.integers(min_value=1, max_value=5).flatmap(
@@ -132,30 +134,53 @@ def test_companion_tau_has_order_n(n):
     assert all(all(x == 0 for x in row) for row in acc)
 
 
-def test_poly_at_matrix_trefoil():
-    # tau for the double cover is the 1 x 1 matrix [-1]; the symmetrized
-    # trefoil polynomial takes the value -3 there, so the cover group is Z/3
-    delta = LaurentPoly(-1, (1, -1, 1))
-    assert poly_at_matrix(delta, companion_tau(2)) == [[-3]]
-    assert cokernel(poly_at_matrix(delta, companion_tau(2))) == AbelianGroup((3,), 0)
+def horner_at_tau(p, n):
+    """The reference evaluation of p at companion_tau(n): Horner with
+    mat_mul, then the t^min_deg factor as a power of tau or of
+    tau^-1 = tau^(n-1)."""
+    tau = companion_tau(n)
+    size = n - 1
+    acc = [[0] * size for _ in range(size)]
+    for c in reversed(p.coeffs):
+        acc = mat_mul(tau, acc)
+        for i in range(size):
+            acc[i][i] += c
+    step = tau if p.min_deg >= 0 else mat_pow(tau, n - 1)
+    return mat_mul(mat_pow(step, abs(p.min_deg)), acc)
 
 
-def test_poly_at_matrix_shift_invariance():
-    # t^s * p evaluated at an invertible matrix equals tau^s * p(tau)
-    delta = LaurentPoly(-1, (-1, 3, -1))
-    for n in (2, 3, 4, 5):
-        tau = companion_tau(n)
-        lhs = poly_at_matrix(LaurentPoly(2, delta.coeffs), tau)
-        rhs = mat_mul(mat_pow(tau, 3), poly_at_matrix(delta, tau))
-        assert lhs == rhs
+laurent_polys = st.builds(
+    LaurentPoly,
+    st.integers(min_value=-60, max_value=20),
+    st.lists(st.integers(min_value=-50, max_value=50), max_size=70),
+)
 
 
-def test_matrix_inverse_unimodular():
-    a = [[2, 1], [1, 1]]
-    inv = matrix_inverse_unimodular(a)
-    assert mat_mul(a, inv) == [[1, 0], [0, 1]]
-    with pytest.raises(NotUnimodular):
-        matrix_inverse_unimodular([[2]])
+@given(laurent_polys, st.integers(min_value=2, max_value=40))
+@settings(max_examples=150, deadline=None)
+# the symmetrized trefoil at the double cover, where tau = [-1]
+@example(LaurentPoly(-1, (1, -1, 1)), 2)
+# t^3 times the figure-eight polynomial: the shift goes through tau^3
+@example(LaurentPoly(2, (-1, 3, -1)), 2)
+@example(LaurentPoly(2, (-1, 3, -1)), 3)
+@example(LaurentPoly(2, (-1, 3, -1)), 4)
+@example(LaurentPoly(2, (-1, 3, -1)), 5)
+def test_poly_at_matrix_matches_horner_reference(p, n):
+    assert poly_at_matrix(p, n) == horner_at_tau(p, n)
+
+
+def test_delta_tau_needs_no_matrix_products(monkeypatch):
+    # delta(tau) is built by reduction alone; a matrix product or power on
+    # this path would bring back the cubic cost at large N.
+    def refuse(*args):
+        raise AssertionError("matrix product on the delta(tau) path")
+
+    monkeypatch.setattr(exact_linalg, "mat_mul", refuse)
+    monkeypatch.setattr(exact_linalg, "mat_pow", refuse)
+    delta = alexander_checked(KnotTable.default().get("5_2"))
+    order = q_relative(delta, 60).value
+    assert branched_cover_homology(delta, 60).order() == order
+    assert len(kernel_torus_solutions(delta, 5)) == q_relative(delta, 5).value
 
 
 def test_mat_vec():

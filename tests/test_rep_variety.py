@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from knotcover.exact_linalg import CycNumber, companion_tau, cyc_det, cyc_mat_mul, poly_at_matrix
+from knotcover.exact_linalg import CycNumber, cyc_det, cyc_mat_mul, poly_at_matrix
 from knotcover.invariants import q_relative
 from knotcover.knots import KnotTable, alexander_checked, braid_closure_wirtinger
 from knotcover.laurent_poly import LaurentPoly
@@ -35,7 +35,7 @@ def corpus_pres(name):
 def brute_force_kernel_points(delta, n):
     """Every h in (Q/Z)^(n-1) with delta(tau) h integral, by grid search
     over denominators dividing |det|; exponential, for small cases only."""
-    matrix = poly_at_matrix(delta, companion_tau(n))
+    matrix = poly_at_matrix(delta, n)
     d = abs(_det(matrix))
     assert d != 0, "grid oracle needs a nondegenerate matrix"
     cols = len(matrix[0])
