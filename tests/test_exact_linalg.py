@@ -169,6 +169,24 @@ def test_poly_at_matrix_matches_horner_reference(p, n):
     assert poly_at_matrix(p, n) == horner_at_tau(p, n)
 
 
+def test_poly_at_matrix_trefoil():
+    # tau for the double cover is the 1 x 1 matrix [-1]; the symmetrized
+    # trefoil polynomial takes the value -3 there, so the cover group is Z/3
+    delta = LaurentPoly(-1, (1, -1, 1))
+    assert poly_at_matrix(delta, 2) == [[-3]]
+    assert cokernel(poly_at_matrix(delta, 2)) == AbelianGroup((3,), 0)
+
+
+def test_poly_at_matrix_shift_invariance():
+    # t^s * p evaluated at an invertible matrix equals tau^s * p(tau)
+    delta = LaurentPoly(-1, (-1, 3, -1))
+    for n in (2, 3, 4, 5):
+        tau = companion_tau(n)
+        lhs = poly_at_matrix(LaurentPoly(2, delta.coeffs), n)
+        rhs = mat_mul(mat_pow(tau, 3), poly_at_matrix(delta, n))
+        assert lhs == rhs
+
+
 def test_delta_tau_needs_no_matrix_products(monkeypatch):
     # delta(tau) is built by reduction alone; a matrix product or power on
     # this path would bring back the cubic cost at large N.
