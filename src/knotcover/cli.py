@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = knot_command("repvar", "flat-connection counts at rank N")
     p.add_argument("--n", type=_int_at_least(2), required=True, metavar="N")
-    p.add_argument("--cap", type=int, default=100_000, help="enumeration cap")
+    p.add_argument("--cap", type=_int_at_least(1), default=100_000, help="enumeration cap")
 
     p = knot_command("series", "surgery series expansion in s")
     p.add_argument("--q-h", type=int, default=0, help="self-intersection Q(h)")
@@ -331,12 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_int_at_least(0), default=10, help="truncation order")
 
     p = knot_command("mahler", "Mahler measure and the growth table (CSV)")
-    p.add_argument("--n-max", type=int, default=99, help="largest odd ladder degree")
+    p.add_argument("--n-max", type=_int_at_least(3), default=99, help="largest odd ladder degree")
     p.add_argument("--samples", type=_int_at_least(1), default=4096, help="integration grid size")
 
     p = sub.add_parser("dim", help="instanton charge and formal moduli dimension")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--n", type=int, required=True, metavar="N", help="bundle rank")
+    p.add_argument("--n", type=_int_at_least(2), required=True, metavar="N", help="bundle rank")
     p.add_argument("--k3", action="store_true", help="the standard zero-dimension charge on K3")
     p.add_argument("--c2", type=int, help="instanton number")
     p.add_argument("--c1-sq", type=int, default=0, help="obstruction self-intersection")

@@ -1,14 +1,20 @@
 """
-Exact linear algebra over the integers and over cyclotomic fields.
+Exact linear algebra over the integers, Laurent polynomials and cyclotomic
+fields.
 
-Integer side: big-integer determinants, Smith normal form with recorded
-unimodular transforms, cokernels as abelian groups, the companion matrix tau
-of 1 + t + ... + t^(N-1), and delta(tau), built column by column by reducing
-t^j * delta modulo 1 + t + ... + t^(N-1): tau^N = I turns negative powers
-into positive ones, so no matrix product or inverse is needed.  Cyclotomic
-side: arithmetic in Q(zeta_N) as polynomials reduced modulo the N-th
-cyclotomic polynomial, plus dense determinants over that field.  No
-floating point anywhere in this module.
+det_exact is the package's one determinant: a fraction-free Bareiss
+elimination whose entries decide the ring (integers, or LaurentPoly for
+Z[t^+-1]).  The Burau and Fox Alexander routes, the Sylvester-matrix
+resultant and the companion-matrix route all call it.  Integer side:
+Smith normal form with recorded unimodular transforms, cokernels as abelian
+groups, the companion matrix tau of 1 + t + ... + t^(N-1), and delta(tau),
+built column by column by reducing t^j * delta modulo 1 + t + ... + t^(N-1):
+tau^N = I turns negative powers into positive ones, so no matrix product or
+inverse is needed.  Cyclotomic side: arithmetic in Q(zeta_N) as polynomials
+reduced modulo the N-th cyclotomic polynomial, and eval_at_zeta, the ring map
+Z[t^+-1] -> Z[zeta_N]; a determinant over Z[zeta_N] is det_exact of integral
+lifts to Z[t], mapped through eval_at_zeta.  No floating point anywhere in
+this module.
 """
 from __future__ import annotations
 
@@ -17,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .laurent_poly import IntPoly, LaurentPoly, _det_bareiss
+from .laurent_poly import LaurentPoly
 
 Matrix = list[list[int]]
 
@@ -60,12 +66,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v: Sequence) -> list:
-    if a and len(a[0]) != len(v):
-        raise NonSquare("matrix and vector sizes do not match")
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def mat_pow(a: Matrix, n: int) -> Matrix:
     """n-th power of a square integer matrix, n >= 0, by repeated squaring."""
     if any(len(row) != len(a) for row in a):
@@ -82,20 +82,86 @@ def mat_pow(a: Matrix, n: int) -> Matrix:
     return out
 
 
-def det_exact(a: Sequence[Sequence[int]]) -> int:
+def det_exact(a: Sequence[Sequence]):
     """
-    Exact determinant by fraction-free elimination.  The empty matrix has
-    determinant 1.
+    Exact determinant by Bareiss's fraction-free elimination.  The entries
+    decide the ring: integers, or LaurentPoly for Z[t^+-1].  Every interior
+    division is exact (Sylvester's identity) and is written `//`, which
+    LaurentPoly implements as exact division.  The empty matrix has
+    determinant 1; a singular one gives the zero of the entries' ring.
 
     >>> det_exact([[2, 1], [7, 4]])
     1
     >>> det_exact([[10**20, 1], [1, 10**20]])
     9999999999999999999999999999999999999999
+    >>> det_exact([[LaurentPoly.t(), 1], [1, LaurentPoly.t(-1)]])
+    LaurentPoly('0')
     """
-    rows = _as_rows(a)
-    if any(len(row) != len(rows) for row in rows):
-        raise NonSquare("determinant of a rectangular matrix")
-    return _det_bareiss(rows)
+    m = [list(row) for row in a]
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise NonSquare("determinant of a ragged or rectangular matrix")
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return m[k][k]
+        top = m[k]
+        pivot = top[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            factor = row[k]
+            # A zero multiplier leaves only the rescaling by pivot / prev.
+            if factor:
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * pivot - factor * top[j]) // prev
+            else:
+                for j in range(k + 1, n):
+                    row[j] = row[j] * pivot // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def resultant(f: LaurentPoly, g: LaurentPoly) -> int:
+    """
+    Resultant of two nonzero ordinary integer polynomials (min_deg >= 0), as
+    the determinant of the Sylvester matrix built from ascending coefficient
+    rows with the f-rows first.  With this convention
+    Res(f, g) = lc(g)^deg(f) * prod f(beta) over the roots beta of g, so it
+    is the exact route to "f evaluated at all roots of g".
+
+    >>> resultant(LaurentPoly(0, (-2, 1)), LaurentPoly(0, (-3, 1)))
+    1
+    >>> resultant(LaurentPoly.t(), LaurentPoly.t())
+    0
+    >>> resultant(LaurentPoly(0, (1, 0, 1)), LaurentPoly(0, (-1, 1)))
+    2
+    """
+    if f.is_zero() or g.is_zero():
+        raise ValueError("resultant of the zero polynomial is not defined here")
+    if f.min_deg < 0 or g.min_deg < 0:
+        raise ValueError("resultant needs ordinary polynomials, without negative powers")
+    fc = (0,) * f.min_deg + f.coeffs
+    gc = (0,) * g.min_deg + g.coeffs
+    m, n = len(fc) - 1, len(gc) - 1
+    size = m + n
+    rows = []
+    for r in range(n):
+        row = [0] * size
+        row[r : r + m + 1] = fc
+        rows.append(row)
+    for r in range(m):
+        row = [0] * size
+        row[r : r + n + 1] = gc
+        rows.append(row)
+    return det_exact(rows)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -336,7 +402,7 @@ def poly_at_matrix(p: LaurentPoly, n: int) -> Matrix:
 
 
 def _phi_coeffs(n: int) -> tuple[int, ...]:
-    return IntPoly.cyclotomic(n).coeffs
+    return LaurentPoly.cyclotomic(n).coeffs
 
 
 def _reduce_mod_phi(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
@@ -509,43 +575,3 @@ def eval_at_zeta(p: LaurentPoly, n: int, k: int) -> CycNumber:
     for i, c in enumerate(p.coeffs):
         raw[(k * (p.min_deg + i)) % n] += c
     return CycNumber.make(n, raw)
-
-
-def cyc_mat_mul(a: list[list[CycNumber]], b: list[list[CycNumber]]) -> list[list[CycNumber]]:
-    n = a[0][0].n
-    cols = len(b[0])
-    out = [[CycNumber.zero(n) for _ in range(cols)] for _ in a]
-    for i, arow in enumerate(a):
-        for k, x in enumerate(arow):
-            if x.is_zero():
-                continue
-            for j in range(cols):
-                out[i][j] = out[i][j] + x * b[k][j]
-    return out
-
-
-def cyc_det(a: list[list[CycNumber]]) -> CycNumber:
-    """Determinant over Q(zeta_N) by Gaussian elimination."""
-    size = len(a)
-    if any(len(row) != size for row in a):
-        raise NonSquare("determinant of a rectangular matrix")
-    if size == 0:
-        raise ValueError("empty cyclotomic determinant has no field order")
-    n = a[0][0].n
-    m = [row[:] for row in a]
-    det = CycNumber.one(n)
-    for col in range(size):
-        piv = next((i for i in range(col, size) if not m[i][col].is_zero()), None)
-        if piv is None:
-            return CycNumber.zero(n)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = m[col][col].inverse()
-        for i in range(col + 1, size):
-            if m[i][col].is_zero():
-                continue
-            f = m[i][col] * inv
-            m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return det

@@ -27,8 +27,9 @@ from .exact_linalg import (
     det_exact,
     mat_pow,
     poly_at_matrix,
+    resultant,
 )
-from .laurent_poly import IntPoly, LaurentPoly, resultant
+from .laurent_poly import LaurentPoly
 
 FLOAT_REL_TOL = 1e-6
 
@@ -60,24 +61,14 @@ class ManifoldTopology:
 class BundleData:
     """
     An SU(N)-bundle datum: rank, the pairings of the obstruction class with a
-    surface basis, the instanton and obstruction self-intersection numbers,
-    and optionally the canonical-class pairing on a complex surface.
+    surface basis, and the instanton and obstruction self-intersection
+    numbers.
     """
 
     n: int
     c1_pairings: tuple[int, ...] = ()
     c2: int = 0
     c1_sq: int = 0
-    k_dot_w: int | None = None
-
-
-@dataclasses.dataclass(frozen=True)
-class LiftIndex:
-    """A (kappa, dimension) pair on the ladder of integer lifts."""
-
-    kappa: Fraction
-    dim: int
-    k_offset: int = 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -145,16 +136,6 @@ def is_coprime(c1_pairings: Sequence[int], n: int) -> bool:
     return math.gcd(g, n) == 1
 
 
-def lift_shift(base: LiftIndex, k: int, n: int) -> LiftIndex:
-    """
-    Shift along the ladder of lifts: kappa by k, dimension by 4*N*k.
-
-    >>> lift_shift(LiftIndex(Fraction(0), 0), 1, 3)
-    LiftIndex(kappa=Fraction(1, 1), dim=12, k_offset=1)
-    """
-    return LiftIndex(kappa=base.kappa + k, dim=base.dim + 4 * n * k, k_offset=base.k_offset + k)
-
-
 def q_relative(delta: LaurentPoly, n: int) -> RelativeInvariant:
     """
     The product of delta over the nontrivial n-th roots of unity, as an exact
@@ -179,9 +160,8 @@ def q_relative(delta: LaurentPoly, n: int) -> RelativeInvariant:
     if delta.is_zero():
         raise ValueError("the zero polynomial has no root-of-unity product")
 
-    p, shift = delta.as_int_poly()
-    signed = resultant(p, IntPoly.all_ones(n))
-    if (shift * (n - 1)) % 2 != 0:
+    signed = resultant(LaurentPoly(0, delta.coeffs), LaurentPoly.all_ones(n))
+    if (delta.min_deg * (n - 1)) % 2 != 0:
         signed = -signed
 
     via_det = det_exact(poly_at_matrix(delta, n))
@@ -245,19 +225,19 @@ def cyclic_product_magnitude(delta: LaurentPoly, n: int) -> int:
         raise BadRank(f"need n >= 2, got {n}")
     if delta.is_zero():
         raise ValueError("the zero polynomial has no root-of-unity product")
-    p, _ = delta.as_int_poly()
-    p_at_1 = p.evaluate(1)
+    coeffs = delta.coeffs
+    p_at_1 = sum(coeffs)
     if p_at_1 == 0:
         raise ValueError("polynomial vanishes at t=1; the closed product formula breaks")
-    deg = p.deg()
-    a = p.coeffs[-1]
+    deg = len(coeffs) - 1
+    a = coeffs[-1]
     if deg == 0:
         return abs(a) ** (n - 1)
     d_mat = [[0] * deg for _ in range(deg)]
     for i in range(1, deg):
         d_mat[i][i - 1] = a
     for i in range(deg):
-        d_mat[i][deg - 1] -= p.coeffs[i]
+        d_mat[i][deg - 1] -= coeffs[i]
     power = mat_pow(d_mat, n)
     a_n = a**n
     for i in range(deg):

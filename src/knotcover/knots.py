@@ -16,6 +16,9 @@ The two Alexander routes:
 * Fox calculus on the Wirtinger presentation of the closure, dropping one
   relation and the column of a chosen base meridian.
 
+Both determinants are exact_linalg.det_exact over Laurent-polynomial
+entries, and the Burau quotient is LaurentPoly's exact division.
+
 Both are normalized to the symmetric representative with value 1 at t = 1,
 and agreement of the two routes is the standard cross-check on every knot
 this package touches.
@@ -28,7 +31,8 @@ from importlib import resources
 from typing import Iterable
 
 from .errors import CrossCheckMismatch, InternalError
-from .laurent_poly import IntPoly, LaurentPoly, symmetrize_alexander
+from .exact_linalg import det_exact
+from .laurent_poly import LaurentPoly, symmetrize_alexander
 
 
 class BraidSyntaxError(ValueError):
@@ -251,34 +255,6 @@ def braid_closure_wirtinger(braid: BraidWord) -> WirtingerPresentation:
     )
 
 
-def _lp_det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
-    # Bareiss elimination in the Laurent polynomial ring; interior divisions
-    # are exact by the Sylvester identity.
-    n = len(matrix)
-    if n == 0:
-        return LaurentPoly.one()
-    if any(len(row) != n for row in matrix):
-        raise InternalError("determinant of a rectangular matrix")
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = LaurentPoly.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPoly.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = LaurentPoly.zero()
-        prev = m[k][k]
-    return m[n - 1][n - 1] * sign
-
-
 def _burau_letter(v: int, n: int) -> list[list[LaurentPoly]]:
     # Unreduced Burau matrix of one letter; fixes the all-ones column vector.
     m = [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(n)] for i in range(n)]
@@ -323,11 +299,11 @@ def alexander_burau(braid: BraidWord) -> LaurentPoly:
     quot = [[full[i][j] - full[n - 1][j] for j in range(n - 1)] for i in range(n - 1)]
     char = [[(LaurentPoly.one() if i == j else LaurentPoly.zero()) - quot[i][j] for j in range(n - 1)]
             for i in range(n - 1)]
-    det = _lp_det(char)
+    det = det_exact(char)
     if det.is_zero():
         raise InternalError("Burau characteristic determinant vanished for a knot closure")
     try:
-        quotient = det / IntPoly.all_ones(n).as_laurent()
+        quotient = det / LaurentPoly.all_ones(n)
     except ValueError as exc:
         raise InternalError(f"non-exact cyclotomic division in the Burau route: {exc}") from None
     return symmetrize_alexander(quotient)
@@ -361,7 +337,8 @@ def alexander_fox(pres: WirtingerPresentation) -> LaurentPoly:
         row[k] = row[k] - 1
         del row[pres.base_meridian]
         rows.append(row)
-    det = _lp_det(rows)
+    # The crossing-free unknot diagram leaves an empty matrix.
+    det = det_exact(rows) if rows else LaurentPoly.one()
     if det.is_zero():
         raise DegenerateMatrix("Fox matrix determinant vanished")
     return symmetrize_alexander(det)

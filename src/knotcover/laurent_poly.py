@@ -1,11 +1,11 @@
 """
-Exact integer Laurent polynomials and the polynomial toolbox built on them:
-Alexander-polynomial symmetrization, cyclotomic polynomials, and big-integer
-resultants.
+Exact integer Laurent polynomials, the package's one polynomial type, and
+what is built on them: exact division, Alexander-polynomial symmetrization
+and cyclotomic polynomials.
 
 A Laurent polynomial is stored as a minimum degree plus a dense coefficient
 tuple, so t - 1 + t^-1 is LaurentPoly(-1, (1, -1, 1)).  An ordinary integer
-polynomial is an IntPoly, a dense ascending coefficient tuple.
+polynomial is a LaurentPoly with min_deg >= 0.
 """
 from __future__ import annotations
 
@@ -78,6 +78,10 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return len(self.coeffs) == 0
+
+    def __bool__(self) -> bool:
+        """False exactly for the zero polynomial, as for numbers."""
+        return bool(self.coeffs)
 
     def is_unit(self) -> bool:
         return len(self.coeffs) == 1 and self.coeffs[0] in (1, -1)
@@ -153,14 +157,41 @@ class LaurentPoly:
         half = self ** (n // 2)
         return half * half if n % 2 == 0 else half * half * self
 
-    def __truediv__(self, other: LaurentPoly) -> LaurentPoly:
-        """Exact division; raises ValueError when the division has a remainder."""
+    def __truediv__(self, other: int | LaurentPoly) -> LaurentPoly:
+        """
+        Exact division by schoolbook long division on the coefficient list,
+        updated in place; raises ValueError when the division has a
+        remainder.  `//` is the same exact division, so code written for
+        integers with exact `//` (det_exact) runs unchanged on Laurent
+        polynomials.
+
+        >>> LaurentPoly(0, (-1, 0, 0, 1)) / LaurentPoly(0, (-1, 1))
+        LaurentPoly('1 + 1*t^1 + 1*t^2')
+        """
+        if isinstance(other, int):
+            other = LaurentPoly(0, (other,))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        num, num_shift = self.as_int_poly()
-        den, den_shift = other.as_int_poly()
-        quo = num / den
-        return LaurentPoly(num_shift - den_shift, quo.coeffs)
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        den = other.coeffs
+        top = len(den) - 1
+        lead = den[top]
+        rem = list(self.coeffs)
+        quo = [0] * max(len(rem) - top, 0)
+        for i in range(len(quo) - 1, -1, -1):
+            c, leftover = divmod(rem[i + top], lead)
+            if leftover:
+                raise ValueError(f"{self!r} is not divisible by {other!r}")
+            if c:
+                quo[i] = c
+                for j in range(top):
+                    rem[i + j] -= c * den[j]
+        if any(rem[:top]):
+            raise ValueError(f"{self!r} is not divisible by {other!r}")
+        return LaurentPoly(self.min_deg - other.min_deg, quo)
+
+    __floordiv__ = __truediv__
 
     def involute(self) -> LaurentPoly:
         """
@@ -172,15 +203,6 @@ class LaurentPoly:
         True
         """
         return LaurentPoly(-self.max_deg(), tuple(reversed(self.coeffs)))
-
-    def as_int_poly(self) -> tuple[IntPoly, int]:
-        """
-        Split off the monomial content: return (P, s) with self = t^s * P and
-        P an ordinary polynomial with nonzero constant term (P = 0 for zero).
-        """
-        if self.is_zero():
-            return IntPoly(), 0
-        return IntPoly(*self.coeffs), self.min_deg
 
     def eval_rational(self, x: Fraction | int) -> Fraction:
         """
@@ -268,129 +290,32 @@ class LaurentPoly:
     def from_json_obj(obj: dict) -> LaurentPoly:
         return LaurentPoly(int(obj["min_deg"]), [int(c) for c in obj["coeffs"]])
 
-
-@dataclasses.dataclass(init=False, eq=True, unsafe_hash=True)
-class IntPoly:
-    """
-    An ordinary polynomial over the integers: a dense ascending coefficient
-    tuple, trimmed, so IntPoly(1, 0, 1) is 1 + t^2 and IntPoly() is zero.
-
-    >>> IntPoly(1, 0, 1)
-    IntPoly('1 + 1*t^2')
-    >>> IntPoly(0, 0).is_zero()
-    True
-    """
-
-    coeffs: tuple[int, ...]
-
-    def __init__(self, *coeffs: int):
-        end = len(coeffs)
-        while end > 0 and coeffs[end - 1] == 0:
-            end -= 1
-        self.coeffs = tuple(coeffs[:end])
-
-    def deg(self) -> int:
-        """Degree of the leading term; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return len(self.coeffs) == 0
-
-    def lead(self) -> int:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def as_laurent(self) -> LaurentPoly:
-        return LaurentPoly(0, self.coeffs)
-
-    def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __repr__(self):
-        return f"IntPoly('{self.as_laurent().to_text()}')"
-
-    def __add__(self, other: int | IntPoly) -> IntPoly:
-        oc = (other,) if isinstance(other, int) else other.coeffs
-        return IntPoly(*(a + b for a, b in itertools.zip_longest(self.coeffs, oc, fillvalue=0)))
-
-    def __sub__(self, other: int | IntPoly) -> IntPoly:
-        oc = (other,) if isinstance(other, int) else other.coeffs
-        return IntPoly(*(a - b for a, b in itertools.zip_longest(self.coeffs, oc, fillvalue=0)))
-
-    def __neg__(self) -> IntPoly:
-        return IntPoly(*(-c for c in self.coeffs))
-
-    def __mul__(self, other: int | IntPoly) -> IntPoly:
-        if isinstance(other, int):
-            return IntPoly(*(c * other for c in self.coeffs))
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for (i, c), (j, d) in itertools.product(enumerate(self.coeffs), enumerate(other.coeffs)):
-            out[i + j] += c * d
-        return IntPoly(*out)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __divmod__(self, other: IntPoly) -> tuple[IntPoly, IntPoly]:
-        """
-        Quotient and remainder over the integers; every leading-term step must
-        divide exactly (sufficient for the exact divisions used here).
-
-        >>> divmod(IntPoly(-1, 0, 0, 1), IntPoly(-1, 1))
-        (IntPoly('1 + 1*t^1 + 1*t^2'), IntPoly('0'))
-        """
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        quo, rem = IntPoly(), self
-        while not rem.is_zero() and rem.deg() >= other.deg():
-            c, leftover = divmod(rem.lead(), other.lead())
-            if leftover != 0:
-                raise ValueError(f"{rem.lead()} is not divisible by {other.lead()}")
-            shift = rem.deg() - other.deg()
-            mono = IntPoly(*((0,) * shift + (c,)))
-            quo, rem = quo + mono, rem - other * mono
-        return quo, rem
-
-    def __truediv__(self, other: IntPoly) -> IntPoly:
-        quo, rem = divmod(self, other)
-        if not rem.is_zero():
-            raise ValueError(f"{self!r} is not divisible by {other!r}")
-        return quo
-
     @staticmethod
     @functools.lru_cache(maxsize=None)
-    def cyclotomic(n: int) -> IntPoly:
+    def cyclotomic(n: int) -> LaurentPoly:
         """
         The n-th cyclotomic polynomial, by exact division of t^n - 1 by the
         cyclotomic polynomials of the proper divisors of n.
 
-        >>> IntPoly.cyclotomic(1)
-        IntPoly('-1 + 1*t^1')
-        >>> IntPoly.cyclotomic(12)
-        IntPoly('1 - 1*t^2 + 1*t^4')
+        >>> LaurentPoly.cyclotomic(1)
+        LaurentPoly('-1 + 1*t^1')
+        >>> LaurentPoly.cyclotomic(12)
+        LaurentPoly('1 - 1*t^2 + 1*t^4')
         """
         if n < 1:
             raise ValueError("cyclotomic index must be positive")
-        poly = IntPoly(*((-1,) + (0,) * (n - 1) + (1,)))
+        poly = LaurentPoly(0, (-1,) + (0,) * (n - 1) + (1,))
         for d in (d for d in range(1, n) if n % d == 0):
-            poly = poly / IntPoly.cyclotomic(d)
+            poly = poly / LaurentPoly.cyclotomic(d)
         return poly
 
     @staticmethod
-    def all_ones(n: int) -> IntPoly:
+    def all_ones(n: int) -> LaurentPoly:
         """1 + t + ... + t^(n-1), the characteristic polynomial of the
         root-lattice rotation; its roots are the nontrivial n-th roots of 1."""
         if n < 1:
             raise ValueError("need n >= 1")
-        return IntPoly(*((1,) * n))
+        return LaurentPoly(0, (1,) * n)
 
 
 def symmetrize_alexander(p: LaurentPoly) -> LaurentPoly:
@@ -417,60 +342,3 @@ def symmetrize_alexander(p: LaurentPoly) -> LaurentPoly:
     if value == -1:
         return -q
     raise NotAKnotPolynomial(f"normalized value at t=1 is {value}, not +-1")
-
-
-def _det_bareiss(rows: list[list[int]]) -> int:
-    # Fraction-free elimination; all interior divisions are exact.
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [row[:] for row in rows]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def resultant(f: IntPoly, g: IntPoly) -> int:
-    """
-    Resultant of two nonzero integer polynomials, as the determinant of the
-    Sylvester matrix built from ascending coefficient rows with the f-rows
-    first.  With this convention Res(f, g) = lc(g)^deg(f) * prod f(beta) over
-    the roots beta of g, so it is the exact route to "f evaluated at all roots
-    of g".
-
-    >>> resultant(IntPoly(-2, 1), IntPoly(-3, 1))
-    1
-    >>> resultant(IntPoly(0, 1), IntPoly(0, 1))
-    0
-    >>> resultant(IntPoly(1, 0, 1), IntPoly(-1, 1))
-    2
-    """
-    if f.is_zero() or g.is_zero():
-        raise ValueError("resultant of the zero polynomial is not defined here")
-    m, n = f.deg(), g.deg()
-    size = m + n
-    rows = []
-    for r in range(n):
-        row = [0] * size
-        for i, c in enumerate(f.coeffs):
-            row[r + i] = c
-        rows.append(row)
-    for r in range(m):
-        row = [0] * size
-        for i, c in enumerate(g.coeffs):
-            row[r + i] = c
-        rows.append(row)
-    return _det_bareiss(rows)

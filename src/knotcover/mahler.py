@@ -15,7 +15,7 @@ import math
 from typing import Sequence
 
 from .invariants import cyclic_product_magnitude
-from .laurent_poly import IntPoly, LaurentPoly
+from .laurent_poly import LaurentPoly
 
 
 class NonConvergence(ArithmeticError):
@@ -36,24 +36,23 @@ class RootSet:
     iterations: int
 
 
-def poly_roots(p: IntPoly, tol: float = 1e-13, max_iter: int = 300) -> RootSet:
+def poly_roots(p: LaurentPoly, tol: float = 1e-13, max_iter: int = 300) -> RootSet:
     """
     All complex roots by simultaneous Aberth-Ehrlich iteration, started on a
-    circle enclosing every root.  Convergence is judged by backward error:
-    every iterate z must reach |p(z)| <= tol * sum_j |c_j| |z|^j, which makes
-    z an exact root of a coefficient-wise tol-perturbation of p.  (A target
-    that ignores |z| is unattainable when a root is large: the rounding error
-    of evaluation itself grows like |z|^deg.)
+    circle enclosing every root.  A positive min_deg contributes that many
+    roots at the origin; negative powers of t contribute none.  Convergence
+    is judged by backward error: every iterate z must reach
+    |p(z)| <= tol * sum_j |c_j| |z|^j, which makes z an exact root of a
+    coefficient-wise tol-perturbation of p.  (A target that ignores |z| is
+    unattainable when a root is large: the rounding error of evaluation
+    itself grows like |z|^deg.)
 
-    >>> rs = poly_roots(IntPoly(-2, 1, 1))
+    >>> rs = poly_roots(LaurentPoly(0, (-2, 1, 1)))
     >>> sorted(round(r.real, 6) for r in rs.roots)
     [-2.0, 1.0]
     """
     coeffs = [complex(c) for c in p.coeffs]
-    zeros_at_origin = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        zeros_at_origin += 1
+    zeros_at_origin = max(p.min_deg, 0)
     deg = len(coeffs) - 1
     if deg < 0:
         raise ValueError("the zero polynomial has no finite root set")
@@ -118,11 +117,10 @@ def mahler_measure_roots(delta: LaurentPoly) -> float:
     >>> round(mahler_measure_roots(LaurentPoly(-1, (-1, 3, -1))), 9)
     2.618033989
     """
-    p, _ = delta.as_int_poly()
-    if p.is_zero():
+    if delta.is_zero():
         raise ValueError("the zero polynomial has no Mahler measure")
-    out = float(abs(p.coeffs[-1]))
-    for root in poly_roots(p).roots:
+    out = float(abs(delta.coeffs[-1]))
+    for root in poly_roots(delta).roots:
         out *= max(1.0, abs(root))
     return out
 

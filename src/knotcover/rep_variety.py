@@ -4,7 +4,8 @@ solution sets of Wirtinger presentations.
 
 The 3-torus side is a verification, not a formula lookup: the clock and shift
 matrices are built exactly over Q(zeta_N), their commutator is checked to be
-the expected scalar, and the centralizer of the pair is recomputed as the
+the expected scalar, their determinants are det_exact of integral lifts to
+Z[t] reduced at zeta_N, and the centralizer of the pair is recomputed as the
 kernel of an explicit sparse linear system whose rank must come out to
 N^2 - 1.  Only then are the N central twists reported as flat points.
 
@@ -25,7 +26,8 @@ from .exact_linalg import (
     BadRank,
     CycNumber,
     companion_tau,
-    cyc_det,
+    det_exact,
+    eval_at_zeta,
     mat_pow,
     poly_at_matrix,
     smith_normal_form,
@@ -56,17 +58,6 @@ class TorusElement:
         return math.lcm(*(c.denominator for c in self.coords)) if self.coords else 1
 
 
-@dataclasses.dataclass(frozen=True)
-class FlatPoint:
-    """
-    One flat point of the 3-torus family: trivial holonomy in the adjoint
-    torus, distinguished by the integer lift class of its central twist.
-    """
-
-    h: TorusElement
-    k_lift: int
-
-
 def clock_shift(n: int) -> tuple[list[list[CycNumber]], list[list[CycNumber]]]:
     """
     The exact clock and shift matrices over Q(zeta_N).  The shift carries a
@@ -84,6 +75,15 @@ def clock_shift(n: int) -> tuple[list[list[CycNumber]], list[list[CycNumber]]]:
         shift[j + 1][j] = one
     shift[0][n - 1] = eps
     return clock, shift
+
+
+def _det_at_zeta(a: list[list[CycNumber]]) -> CycNumber:
+    # det commutes with the ring map Z[t] -> Z[zeta_N], t -> zeta_N, so the
+    # determinant of integral lifts to Z[t], reduced at zeta_N, is exact.
+    if any(c.denominator != 1 for row in a for x in row for c in x.coeffs):
+        raise VerificationFailed("matrix entries are not in Z[zeta_N]")
+    lift = [[LaurentPoly(0, [int(c) for c in x.coeffs]) for x in row] for row in a]
+    return eval_at_zeta(det_exact(lift), a[0][0].n, 1)
 
 
 def _sparse_rank(rows: list[dict[int, CycNumber]]) -> int:
@@ -111,14 +111,6 @@ def _sparse_rank(rows: list[dict[int, CycNumber]]) -> int:
     return len(pivots)
 
 
-def flat_points(n: int) -> tuple[FlatPoint, ...]:
-    """The N flat points: the shared trivial torus holonomy with lift k."""
-    if n < 2:
-        raise BadRank(f"need n >= 2, got {n}")
-    origin = TorusElement(n, (Fraction(0),) * (n - 1))
-    return tuple(FlatPoint(h=origin, k_lift=k) for k in range(n))
-
-
 def verify_t3_points(n: int) -> int:
     """
     Verify, exactly, that the clock-shift pair is an irreducible commuting
@@ -126,7 +118,8 @@ def verify_t3_points(n: int) -> int:
     flat points.  Checks performed:
 
     * clock * shift = zeta * (shift * clock), entrywise in Q(zeta_N);
-    * det(shift) = 1, det(clock) = (-1)^(N-1);
+    * det(shift) = 1, det(clock) = (-1)^(N-1), each taken as det_exact of
+      the integral lifts to Z[t] and reduced at zeta_N by eval_at_zeta;
     * every central twist zeta^k I has determinant zeta^(kN) = 1;
     * the joint centralizer has dimension exactly 1 (rank N^2 - 1).
 
@@ -144,16 +137,15 @@ def verify_t3_points(n: int) -> int:
             if left != zeta * right:
                 raise VerificationFailed(f"commutator defect at entry ({i}, {j})")
 
-    if cyc_det(shift) != one:
+    if _det_at_zeta(shift) != one:
         raise VerificationFailed("shift determinant is not 1")
-    clock_det = cyc_det(clock)
     expected = one if n % 2 == 1 else -one
-    if clock_det != expected:
+    if _det_at_zeta(clock) != expected:
         raise VerificationFailed("clock determinant is not (-1)^(N-1)")
 
-    for point in flat_points(n):
-        if CycNumber.zeta(n, point.k_lift * n) != one:
-            raise VerificationFailed(f"central twist {point.k_lift} has determinant != 1")
+    for k in range(n):
+        if CycNumber.zeta(n, k * n) != one:
+            raise VerificationFailed(f"central twist {k} has determinant != 1")
 
     def idx(i: int, j: int) -> int:
         return i * n + j

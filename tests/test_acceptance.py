@@ -2,12 +2,14 @@
 The acceptance gate: one test per criterion, each delegating to the
 cross-checked implementation in knotcover.acceptance.  A failing criterion
 raises VerificationFailed carrying the exact inequality that broke; a passing
-one prints its PASS line with the measured detail.
+one prints its PASS line with the measured detail.  Also: the package's
+exports.
 """
 import re
 
 import pytest
 
+import knotcover
 from knotcover.acceptance import CRITERIA, run_criteria
 
 
@@ -35,3 +37,16 @@ def test_run_criteria_subset_and_capture():
     only_two = run_criteria([4, 9])
     assert [r.number for r in only_two] == [4, 9]
     assert all(r.line().startswith("PASS") for r in only_two)
+
+
+def test_exports_resolve_and_deleted_names_are_gone():
+    for name in knotcover.__all__:
+        assert hasattr(knotcover, name), name
+    # Names the package must not export: test-only API, a second polynomial type.
+    deleted = (
+        "IntPoly", "cyc_det", "cyc_mat_mul", "mat_vec", "lift_shift", "LiftIndex",
+        "FlatPoint", "flat_points",
+    )
+    for name in deleted:
+        assert name not in knotcover.__all__
+        assert not hasattr(knotcover, name), name

@@ -252,6 +252,9 @@ def test_missing_required_option_exits_via_argparse(capsys):
         ["repvar", "3_1", "--n", "1"],
         ["series", "3_1", "--order", "-1"],
         ["mahler", "3_1", "--samples", "0"],
+        ["dim", "--n", "1", "--k3"],
+        ["repvar", "3_1", "--n", "2", "--cap", "0"],
+        ["mahler", "3_1", "--n-max", "1"],
     ],
 )
 def test_out_of_range_argument_is_usage_error(capsys, argv):

@@ -1,4 +1,5 @@
-"""Exact integer linear algebra: determinants, Smith form, cyclotomic field."""
+"""Exact linear algebra: determinants, Smith form, cyclotomic field."""
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,20 +14,17 @@ from knotcover.exact_linalg import (
     SmithForm,
     cokernel,
     companion_tau,
-    cyc_det,
-    cyc_mat_mul,
     det_exact,
     eval_at_zeta,
     mat_mul,
     mat_pow,
-    mat_vec,
     poly_at_matrix,
     smith_normal_form,
 )
 from knotcover.invariants import branched_cover_homology, q_relative
 from knotcover.knots import KnotTable, alexander_checked
 from knotcover.laurent_poly import LaurentPoly
-from knotcover.rep_variety import kernel_torus_solutions
+from knotcover.rep_variety import clock_shift, kernel_torus_solutions
 
 int_matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda r: st.integers(min_value=1, max_value=5).flatmap(
@@ -60,6 +58,64 @@ def test_det_exact_rejects_ragged_and_rectangular():
         det_exact([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
         det_exact([[1, 2], [3]])
+
+
+def leibniz_det(a):
+    """The permutation-sum determinant, for any entries with + and *."""
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term = term * a[i][j]
+        total = total + term
+    return total
+
+
+@st.composite
+def bareiss_cases(draw, entries, max_size):
+    """Square matrices with, at random, a zero top-left pivot, a zero
+    column (an early exit) or a row that is a multiple of another."""
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    a = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    zero = a[0][0] * 0
+    if draw(st.booleans()):
+        a[0][0] = zero
+    if draw(st.booleans()):
+        col = draw(st.integers(min_value=0, max_value=n - 1))
+        for row in a:
+            row[col] = zero
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(min_value=-2, max_value=2))
+        a[j] = [x * c for x in a[i]]
+    return a
+
+
+small_laurents = st.builds(
+    LaurentPoly,
+    st.integers(min_value=-3, max_value=2),
+    st.lists(st.integers(min_value=-3, max_value=3), max_size=3),
+)
+
+
+@given(bareiss_cases(st.integers(min_value=-9, max_value=9), 5))
+@settings(max_examples=300)
+@example([[0, 1], [1, 0]])
+@example([[0, 2, 1], [0, 3, 4], [5, 6, 7]])
+@example([[1, 2], [2, 4]])
+def test_det_exact_matches_leibniz_on_integers(a):
+    assert det_exact(a) == leibniz_det(a)
+
+
+@given(bareiss_cases(small_laurents, 4))
+@settings(max_examples=150, deadline=None)
+@example([[LaurentPoly.zero(), LaurentPoly.t(-1)], [LaurentPoly.t(2), LaurentPoly.one()]])
+def test_det_exact_matches_leibniz_on_laurent_polynomials(a):
+    det = det_exact(a)
+    assert isinstance(det, LaurentPoly)
+    assert det == leibniz_det(a)
 
 
 @given(square_matrices, square_matrices)
@@ -201,10 +257,6 @@ def test_delta_tau_needs_no_matrix_products(monkeypatch):
     assert len(kernel_torus_solutions(delta, 5)) == q_relative(delta, 5).value
 
 
-def test_mat_vec():
-    assert mat_vec([[1, 2], [3, 4]], [1, 1]) == [3, 7]
-
-
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 6, 12))
 def test_cyc_zeta_has_order_n(n):
     z = CycNumber.zeta(n)
@@ -245,19 +297,64 @@ def test_eval_at_zeta_matches_complex_evaluation():
             assert abs(exact - delta.eval_complex(z)) < 1e-9
 
 
-def test_cyc_det_diagonal():
-    n = 5
-    z = CycNumber.zeta(n)
-    zero = CycNumber.zero(n)
-    assert cyc_det([[z, zero], [zero, z]]) == z * z
+def cyc_det(a):
+    """Reference determinant over Q(zeta_N) by Gaussian elimination with
+    field inverses."""
+    size = len(a)
+    if any(len(row) != size for row in a):
+        raise NonSquare("determinant of a rectangular matrix")
+    if size == 0:
+        raise ValueError("empty cyclotomic determinant has no field order")
+    n = a[0][0].n
+    m = [row[:] for row in a]
+    det = CycNumber.one(n)
+    for col in range(size):
+        piv = next((i for i in range(col, size) if not m[i][col].is_zero()), None)
+        if piv is None:
+            return CycNumber.zero(n)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det = det * m[col][col]
+        inv = m[col][col].inverse()
+        for i in range(col + 1, size):
+            if m[i][col].is_zero():
+                continue
+            f = m[i][col] * inv
+            m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    return det
 
 
-def test_cyc_mat_mul_identity():
-    n = 7
-    one, zero = CycNumber.one(n), CycNumber.zero(n)
-    eye = [[one, zero], [zero, one]]
-    a = [[CycNumber.zeta(n, 2), one], [zero, CycNumber.zeta(n, 3)]]
-    assert cyc_mat_mul(a, eye) == a
+def det_via_lift(a):
+    """det over Z[zeta_N]: lift each integral entry to Z[t], take det_exact,
+    and reduce at zeta_N."""
+    lift = [[LaurentPoly(0, [int(c) for c in x.coeffs]) for x in row] for row in a]
+    return eval_at_zeta(det_exact(lift), a[0][0].n, 1)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_clock_shift_determinants_by_lift_match_field_elimination(n):
+    clock, shift = clock_shift(n)
+    assert det_via_lift(shift) == cyc_det(shift) == CycNumber.one(n)
+    want = CycNumber.integer(n, (-1) ** (n - 1))
+    assert det_via_lift(clock) == cyc_det(clock) == want
+
+
+@st.composite
+def integral_cyc_matrices(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    size = draw(st.integers(min_value=1, max_value=3))
+    entry = st.lists(st.integers(min_value=-3, max_value=3), max_size=n).map(
+        lambda cs: CycNumber.make(n, cs)
+    )
+    return [[draw(entry) for _ in range(size)] for _ in range(size)]
+
+
+@given(integral_cyc_matrices())
+@settings(max_examples=60, deadline=None)
+@example([[CycNumber.zeta(5), CycNumber.zero(5)], [CycNumber.zero(5), CycNumber.zeta(5)]])
+def test_det_via_lift_matches_field_elimination(a):
+    assert det_via_lift(a) == cyc_det(a)
 
 
 @given(square_matrices)

@@ -10,7 +10,6 @@ from knotcover.invariants import (
     K3_TOPOLOGY,
     BundleData,
     DegenerateProduct,
-    LiftIndex,
     ManifoldTopology,
     NonIntegralDimension,
     ParityViolation,
@@ -23,7 +22,6 @@ from knotcover.invariants import (
     k3_bundle_data,
     k3_invariant,
     kappa,
-    lift_shift,
     q_fintushel_stern,
     q_relative,
     sign_complex_compare,
@@ -100,17 +98,6 @@ def test_is_coprime():
     assert not is_coprime((2, 4), 2)
     assert is_coprime((1,), 7)
     assert not is_coprime((), 5)
-
-
-def test_lift_shift_is_a_z_action():
-    base = LiftIndex(Fraction(1, 4), -3)
-    n = 2
-    there = lift_shift(lift_shift(base, 2, n), -2, n)
-    assert there == base
-    one = lift_shift(base, 1, n)
-    assert one.kappa == base.kappa + 1
-    assert one.dim == base.dim + 4 * n
-    assert one.k_offset == 1
 
 
 @pytest.mark.parametrize("name", sorted(Q_ORACLE))

@@ -1,17 +1,17 @@
-"""Laurent polynomial ring, symmetrization, and resultants."""
+"""Laurent polynomial ring, exact division, symmetrization, cyclotomic
+polynomials, and resultants."""
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from knotcover.exact_linalg import resultant
 from knotcover.laurent_poly import (
-    IntPoly,
     LaurentPoly,
     NotAKnotPolynomial,
     NotSymmetrizable,
     ZeroArgument,
-    resultant,
     symmetrize_alexander,
 )
 
@@ -21,8 +21,10 @@ laurents = st.builds(
     st.lists(st.integers(min_value=-6, max_value=6), max_size=6),
 )
 nonzero_laurents = laurents.filter(lambda p: not p.is_zero())
+# Ordinary polynomials: min_deg 0 before trimming, so a zero constant term
+# shows up as a positive min_deg.
 int_polys = st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=5).map(
-    lambda cs: IntPoly(*cs)
+    lambda cs: LaurentPoly(0, cs)
 )
 nonzero_int_polys = int_polys.filter(lambda p: not p.is_zero())
 
@@ -82,11 +84,19 @@ def test_involution_is_a_ring_map(a, b):
 @given(laurents, nonzero_laurents)
 def test_exact_division_inverts_multiplication(a, b):
     assert (a * b) / b == a
+    assert (a * b) // b == a
+    assert (a * -3) / -3 == a
 
 
 def test_division_requires_exactness():
     with pytest.raises(ValueError):
         (LaurentPoly(0, (1, 0, 1))) / LaurentPoly(0, (1, 1))
+    with pytest.raises(ValueError):
+        LaurentPoly(0, (1,)) / LaurentPoly(0, (1, 1))
+    with pytest.raises(ValueError):
+        LaurentPoly(0, (3, 6)) / 2
+    with pytest.raises(ZeroDivisionError):
+        LaurentPoly.one() / LaurentPoly.zero()
 
 
 def test_unit_powers():
@@ -129,15 +139,20 @@ def test_symmetrize_alexander_rejections():
 
 def test_resultant_fixed_values():
     # ascending-coefficient Sylvester convention: lc(g)^deg(f) * prod f(roots of g)
-    assert resultant(IntPoly(-2, 1), IntPoly(-3, 1)) == 1
-    assert resultant(IntPoly(1, 0, 1), IntPoly(-1, 1)) == 2
-    assert resultant(IntPoly(0, 1), IntPoly(0, 1)) == 0
-    assert resultant(IntPoly(-1, 0, 1), IntPoly(-4, 0, 1)) == 9
+    assert resultant(LaurentPoly(0, (-2, 1)), LaurentPoly(0, (-3, 1))) == 1
+    assert resultant(LaurentPoly(0, (1, 0, 1)), LaurentPoly(0, (-1, 1))) == 2
+    assert resultant(LaurentPoly(0, (0, 1)), LaurentPoly(0, (0, 1))) == 0
+    assert resultant(LaurentPoly(0, (-1, 0, 1)), LaurentPoly(0, (-4, 0, 1))) == 9
+
+
+def test_resultant_rejects_negative_powers():
+    with pytest.raises(ValueError):
+        resultant(LaurentPoly(-1, (1, -1, 1)), LaurentPoly(0, (1, 1)))
 
 
 @given(nonzero_int_polys, nonzero_int_polys)
 def test_resultant_swap_sign(f, g):
-    sign = (-1) ** (f.deg() * g.deg())
+    sign = (-1) ** (f.max_deg() * g.max_deg())
     assert resultant(f, g) == sign * resultant(g, f)
 
 
@@ -146,45 +161,31 @@ def test_resultant_multiplicative(f1, f2, g):
     assert resultant(f1 * f2, g) == resultant(f1, g) * resultant(f2, g)
 
 
-@given(int_polys, int_polys.filter(lambda p: not p.is_zero()))
-def test_int_poly_divmod(a, b):
-    q, r = divmod(a * b, b)
-    assert q == a and r.is_zero()
-
-
 def test_cyclotomic_small():
-    assert IntPoly.cyclotomic(1) == IntPoly(-1, 1)
-    assert IntPoly.cyclotomic(2) == IntPoly(1, 1)
-    assert IntPoly.cyclotomic(4) == IntPoly(1, 0, 1)
-    assert IntPoly.cyclotomic(6) == IntPoly(1, -1, 1)
-    assert IntPoly.cyclotomic(12) == IntPoly(1, 0, -1, 0, 1)
+    assert LaurentPoly.cyclotomic(1) == LaurentPoly(0, (-1, 1))
+    assert LaurentPoly.cyclotomic(2) == LaurentPoly(0, (1, 1))
+    assert LaurentPoly.cyclotomic(4) == LaurentPoly(0, (1, 0, 1))
+    assert LaurentPoly.cyclotomic(6) == LaurentPoly(0, (1, -1, 1))
+    assert LaurentPoly.cyclotomic(12) == LaurentPoly(0, (1, 0, -1, 0, 1))
 
 
 @pytest.mark.parametrize("n", range(1, 31))
 def test_cyclotomic_product_is_t_n_minus_1(n):
-    product = IntPoly(1)
+    product = LaurentPoly.one()
     for d in range(1, n + 1):
         if n % d == 0:
-            product = product * IntPoly.cyclotomic(d)
-    want = IntPoly(*([-1] + [0] * (n - 1) + [1]))
+            product = product * LaurentPoly.cyclotomic(d)
+    want = LaurentPoly(0, [-1] + [0] * (n - 1) + [1])
     assert product == want
 
 
 def test_all_ones():
-    assert IntPoly.all_ones(4) == IntPoly(1, 1, 1, 1)
-    assert IntPoly.all_ones(1) == IntPoly(1)
-
-
-@given(laurents)
-def test_as_int_poly_round_trip(p):
-    if p.is_zero():
-        return
-    q, shift = p.as_int_poly()
-    assert q.as_laurent() * LaurentPoly.t(shift) == p
-    assert q.coeffs[0] != 0 or q.deg() == 0
+    assert LaurentPoly.all_ones(4) == LaurentPoly(0, (1, 1, 1, 1))
+    assert LaurentPoly.all_ones(1) == LaurentPoly.one()
 
 
 def test_phi_values():
     # Euler-phi degrees for a sample of indices
     for n, deg in ((5, 4), (8, 4), (9, 6), (15, 8), (30, 8)):
-        assert IntPoly.cyclotomic(n).deg() == deg
+        assert LaurentPoly.cyclotomic(n).max_deg() == deg
+

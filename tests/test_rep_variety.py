@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from knotcover.exact_linalg import CycNumber, cyc_det, cyc_mat_mul, poly_at_matrix
+from knotcover import rep_variety
+from knotcover.errors import VerificationFailed
+from knotcover.exact_linalg import CycNumber, poly_at_matrix
 from knotcover.invariants import q_relative
 from knotcover.knots import KnotTable, alexander_checked, braid_closure_wirtinger
 from knotcover.laurent_poly import LaurentPoly
@@ -13,11 +15,9 @@ from knotcover.rep_variety import (
     CapExceeded,
     ChernSimonsLadder,
     Degenerate,
-    FlatPoint,
     TorusElement,
     chern_simons_ladder,
     clock_shift,
-    flat_points,
     kernel_torus_solutions,
     verify_t3_points,
     wirtinger_torus_count,
@@ -65,13 +65,12 @@ def test_verify_t3_points_counts_n(n):
     assert verify_t3_points(n) == n
 
 
-@pytest.mark.parametrize("n", range(2, 7))
-def test_flat_points_structure(n):
-    points = flat_points(n)
-    assert len(points) == n
-    assert sorted(p.k_lift for p in points) == list(range(n))
-    origin = TorusElement(n, (Fraction(0),) * (n - 1))
-    assert all(p.h == origin for p in points)
+def cyc_mat_mul(a, b):
+    n = a[0][0].n
+    return [
+        [sum((x * b[k][j] for k, x in enumerate(row)), CycNumber.zero(n)) for j in range(len(b[0]))]
+        for row in a
+    ]
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -81,9 +80,22 @@ def test_clock_shift_exact_relations(n):
     cs = cyc_mat_mul(clock, shift)
     sc = cyc_mat_mul(shift, clock)
     assert all(cs[i][j] == zeta * sc[i][j] for i in range(n) for j in range(n))
-    assert cyc_det(shift) == CycNumber.one(n)
-    want = CycNumber.integer(n, (-1) ** (n - 1))
-    assert cyc_det(clock) == want
+
+
+@pytest.mark.parametrize("n", (3, 5))
+def test_verify_t3_points_rejects_wrong_determinants(monkeypatch, n):
+    # For odd N, negating either matrix keeps the commutator relation and
+    # flips the sign of its determinant.
+    def negate(m):
+        return [[-x for x in row] for row in m]
+
+    clock, shift = clock_shift(n)
+    monkeypatch.setattr(rep_variety, "clock_shift", lambda _: (clock, negate(shift)))
+    with pytest.raises(VerificationFailed, match="shift determinant"):
+        verify_t3_points(n)
+    monkeypatch.setattr(rep_variety, "clock_shift", lambda _: (negate(clock), shift))
+    with pytest.raises(VerificationFailed, match="clock determinant"):
+        verify_t3_points(n)
 
 
 def test_chern_simons_ladder_values():
