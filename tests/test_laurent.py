@@ -88,6 +88,15 @@ def test_exact_division_inverts_multiplication(a, b):
     assert (a * -3) / -3 == a
 
 
+@given(int_polys, nonzero_int_polys)
+def test_int_poly_divmod(a, b):
+    # Long division of ordinary polynomials: the quotient of a product by a
+    # factor is the other factor, and nothing is left over.
+    q = (a * b) // b
+    assert q == a
+    assert (a * b - q * b).is_zero()
+
+
 def test_division_requires_exactness():
     with pytest.raises(ValueError):
         (LaurentPoly(0, (1, 0, 1))) / LaurentPoly(0, (1, 1))
