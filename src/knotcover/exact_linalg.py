@@ -10,11 +10,20 @@ Smith normal form with recorded unimodular transforms, cokernels as abelian
 groups, the companion matrix tau of 1 + t + ... + t^(N-1), and delta(tau),
 built column by column by reducing t^j * delta modulo 1 + t + ... + t^(N-1):
 tau^N = I turns negative powers into positive ones, so no matrix product or
-inverse is needed.  Cyclotomic side: arithmetic in Q(zeta_N) as polynomials
-reduced modulo the N-th cyclotomic polynomial, and eval_at_zeta, the ring map
+inverse is needed.  Cyclotomic side: CycNumber, an element of Q(zeta_N)
+stored as integer numerators of 1, zeta, ..., zeta^(d-1) (d = deg Phi_N) over
+one positive denominator, normalised by gcd; its arithmetic is integer
+convolution reduced modulo the monic Phi_N, and its inverse is Cramer's rule
+through det_exact, so no Fraction is built.  eval_at_zeta is the ring map
 Z[t^+-1] -> Z[zeta_N]; a determinant over Z[zeta_N] is det_exact of integral
 lifts to Z[t], mapped through eval_at_zeta.  No floating point anywhere in
 this module.
+
+>>> x = CycNumber.make(4, [Fraction(1, 2), Fraction(1, 3)])  # 1/2 + zeta/3
+>>> x.num, x.den
+((3, 2), 6)
+>>> x * x.inverse() == CycNumber.one(4)
+True
 """
 from __future__ import annotations
 
@@ -405,72 +414,48 @@ def _phi_coeffs(n: int) -> tuple[int, ...]:
     return LaurentPoly.cyclotomic(n).coeffs
 
 
-def _reduce_mod_phi(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+def _reduce_mod_phi(n: int, coeffs: list[int]) -> tuple[int, ...]:
+    # Phi_N is monic, so every step of the division stays in the integers.
     phi = _phi_coeffs(n)
     deg = len(phi) - 1
     work = list(coeffs)
     for i in range(len(work) - 1, deg - 1, -1):
         top = work[i]
-        if top == 0:
-            continue
-        # phi is monic, so the division step is exact over Q
-        for j, pc in enumerate(phi):
-            work[i - deg + j] -= top * pc
+        if top:
+            for j in range(deg):
+                if phi[j]:
+                    work[i - deg + j] -= top * phi[j]
     out = work[:deg]
-    out += [Fraction(0)] * (deg - len(out))
+    out += [0] * (deg - len(out))
     return tuple(out)
 
 
-# Dense ascending-coefficient polynomials over Q, used only by the extended
-# Euclidean algorithm below.
-
-def _fp_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _fp_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return out
-
-
-def _fp_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c == 0:
-            continue
-        for j, d in enumerate(b):
-            out[i + j] += c * d
-    return out
-
-
-def _fp_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    rem = list(a)
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(rem) >= len(b):
-        f = rem[-1] / b[-1]
-        shift = len(rem) - len(b)
-        quo[shift] = f
-        for i, c in enumerate(b):
-            rem[shift + i] -= f * c
-        rem.pop()
-        _fp_trim(rem)
-    return quo, rem
+def _normal(n: int, num: Sequence[int], den: int) -> CycNumber:
+    # num / den with den > 0, made canonical: gcd(den, *num) = 1.
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return CycNumber(n, tuple(num), den)
 
 
 @dataclasses.dataclass(frozen=True)
 class CycNumber:
     """
-    An element of Q(zeta_N), stored as a polynomial in zeta of degree less
-    than deg(Phi_N) with Fraction coefficients.
+    An element of Q(zeta_N), stored as integer numerators over one positive
+    denominator: (num[0] + num[1] zeta + ... + num[d-1] zeta^(d-1)) / den
+    with d = deg(Phi_N), normalised so that gcd(den, *num) = 1 (zero is
+    all zeros over 1).  Sums and products are integer convolutions reduced
+    modulo the monic Phi_N, so they stay in Z; the inverse is Cramer's rule
+    on the integer multiplication matrix, through det_exact.  coeffs reads
+    the same element as Fraction coefficients.
 
+    >>> x = CycNumber.make(3, [Fraction(1, 2), 0, Fraction(1, 2)])
+    >>> x.num, x.den  # (1 + zeta^2) / 2 = -zeta / 2, as zeta^2 = -1 - zeta
+    ((0, -1), 2)
+    >>> x.coeffs
+    (Fraction(0, 1), Fraction(-1, 2))
     >>> z = CycNumber.zeta(4)
     >>> z * z == CycNumber.integer(4, -1)
     True
@@ -479,15 +464,25 @@ class CycNumber:
     """
 
     n: int
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of 1, zeta, ..., zeta^(d-1) as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     @staticmethod
     def make(n: int, coeffs: Sequence[Fraction | int]) -> CycNumber:
-        return CycNumber(n, _reduce_mod_phi(n, [Fraction(c) for c in coeffs]))
+        """The element sum coeffs[k] zeta^k, for coefficients of any length."""
+        den = math.lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        return _normal(n, _reduce_mod_phi(n, num), den)
 
     @staticmethod
     def integer(n: int, value: int | Fraction) -> CycNumber:
-        return CycNumber.make(n, [value])
+        deg = len(_phi_coeffs(n)) - 1
+        return CycNumber(n, (value.numerator,) + (0,) * (deg - 1), value.denominator)
 
     @staticmethod
     def zero(n: int) -> CycNumber:
@@ -501,10 +496,10 @@ class CycNumber:
     def zeta(n: int, k: int = 1) -> CycNumber:
         """zeta_N^k for any integer k."""
         k %= n
-        return CycNumber.make(n, [0] * k + [1])
+        return CycNumber(n, _reduce_mod_phi(n, [0] * k + [1]), 1)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def _check(self, other: CycNumber) -> None:
         if self.n != other.n:
@@ -512,44 +507,65 @@ class CycNumber:
 
     def __add__(self, other: CycNumber) -> CycNumber:
         self._check(other)
-        return CycNumber(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b = self.den, other.den
+        return _normal(self.n, [x * b + y * a for x, y in zip(self.num, other.num)], a * b)
 
     def __sub__(self, other: CycNumber) -> CycNumber:
         self._check(other)
-        return CycNumber(self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b = self.den, other.den
+        return _normal(self.n, [x * b - y * a for x, y in zip(self.num, other.num)], a * b)
 
     def __neg__(self) -> CycNumber:
-        return CycNumber(self.n, tuple(-a for a in self.coeffs))
+        return CycNumber(self.n, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other: CycNumber | int | Fraction) -> CycNumber:
         if isinstance(other, (int, Fraction)):
-            return CycNumber(self.n, tuple(a * other for a in self.coeffs))
+            scaled = [x * other.numerator for x in self.num]
+            return _normal(self.n, scaled, self.den * other.denominator)
         self._check(other)
-        out = [Fraction(0)] * (2 * len(self.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return CycNumber(self.n, _reduce_mod_phi(self.n, out))
+        b = other.num
+        out = [0] * (2 * len(b) - 1)
+        for i, x in enumerate(self.num):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _normal(self.n, _reduce_mod_phi(self.n, out), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> CycNumber:
-        """Field inverse by the extended Euclidean algorithm against Phi_N."""
+        """
+        Field inverse by Cramer's rule.  With A = den * self, the
+        coefficients x of A^-1 solve M x = e_0, where column j of the
+        integer matrix M holds zeta^j * A.  Replacing column i of M by e_0
+        leaves the determinant (-1)^i det(M minus row 0 and column i), so
+        x_i is that over det(M), and self^-1 = den * x.  det(M) is the norm
+        of A; it is positive, since Q(zeta_N) has no real embedding once
+        deg(Phi_N) > 1, so the norm is a product of terms |sigma(A)|^2.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        r0 = _fp_trim([Fraction(c) for c in _phi_coeffs(self.n)])
-        r1 = _fp_trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            quo, rem = _fp_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _fp_trim(_fp_sub(s0, _fp_mul(quo, s1)))
-        # r0 is now the gcd, a nonzero constant since Phi_N is irreducible.
-        assert len(r0) == 1
-        scale = 1 / r0[0]
-        return CycNumber.make(self.n, [c * scale for c in s0])
+        num, deg = self.num, len(self.num)
+        if not any(num[1:]):
+            # A rational, which covers every element when deg = 1 (Q itself).
+            c = num[0]
+            return CycNumber(self.n, (self.den if c > 0 else -self.den,) + num[1:], abs(c))
+        phi = _phi_coeffs(self.n)
+        cols = [list(num)]
+        for _ in range(deg - 1):
+            # times zeta: shift up, then fold the zeta^deg coefficient back
+            # in through Phi_N
+            prev = cols[-1]
+            top = prev[-1]
+            cols.append([-top * phi[0]] + [x - top * p for x, p in zip(prev, phi[1:deg])])
+        m = [list(row) for row in zip(*cols)]
+        norm = det_exact(m)
+        assert norm > 0
+        out = [
+            (-1) ** i * self.den * det_exact([row[:i] + row[i + 1 :] for row in m[1:]])
+            for i in range(deg)
+        ]
+        return _normal(self.n, out, norm)
 
     def __truediv__(self, other: CycNumber) -> CycNumber:
         self._check(other)
@@ -560,9 +576,9 @@ class CycNumber:
 
         z = cmath.exp(2j * cmath.pi / self.n)
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
-        return acc
+        for c in reversed(self.num):
+            acc = acc * z + c
+        return acc / self.den
 
     def __repr__(self):
         terms = [f"{c}*z^{i}" for i, c in enumerate(self.coeffs) if c != 0]
@@ -571,7 +587,7 @@ class CycNumber:
 
 def eval_at_zeta(p: LaurentPoly, n: int, k: int) -> CycNumber:
     """Exact evaluation of a Laurent polynomial at zeta_N^k."""
-    raw = [Fraction(0)] * max(n, 1)
+    raw = [0] * max(n, 1)
     for i, c in enumerate(p.coeffs):
         raw[(k * (p.min_deg + i)) % n] += c
-    return CycNumber.make(n, raw)
+    return CycNumber(n, _reduce_mod_phi(n, raw), 1)

@@ -12,12 +12,16 @@ N^2 - 1.  Only then are the N central twists reported as flat points.
 The Wirtinger side linearizes meridian relations on the (N-1)-dimensional
 torus acted on by the companion matrix of 1 + t + ... + t^(N-1), pins the
 base meridian, and counts rational solutions through the Smith normal form.
+The kernel points of delta(tau) are enumerated from the same form over the
+integers modulo the last invariant factor D, each re-verified as
+delta(tau) H = 0 mod D, and returned as coordinates H / D.
 """
 from __future__ import annotations
 
 import dataclasses
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -80,9 +84,9 @@ def clock_shift(n: int) -> tuple[list[list[CycNumber]], list[list[CycNumber]]]:
 def _det_at_zeta(a: list[list[CycNumber]]) -> CycNumber:
     # det commutes with the ring map Z[t] -> Z[zeta_N], t -> zeta_N, so the
     # determinant of integral lifts to Z[t], reduced at zeta_N, is exact.
-    if any(c.denominator != 1 for row in a for x in row for c in x.coeffs):
+    if any(x.den != 1 for row in a for x in row):
         raise VerificationFailed("matrix entries are not in Z[zeta_N]")
-    lift = [[LaurentPoly(0, [int(c) for c in x.coeffs]) for x in row] for row in a]
+    lift = [[LaurentPoly(0, x.num) for x in row] for row in a]
     return eval_at_zeta(det_exact(lift), a[0][0].n, 1)
 
 
@@ -130,10 +134,19 @@ def verify_t3_points(n: int) -> int:
     zeta = CycNumber.zeta(n)
     one = CycNumber.one(n)
 
+    def product_entry(a, b, i: int, j: int) -> CycNumber:
+        # Entry (i, j) of a * b; zero products are skipped, as in mat_mul.
+        acc = CycNumber.zero(n)
+        for k in range(n):
+            x, y = a[i][k], b[k][j]
+            if not (x.is_zero() or y.is_zero()):
+                acc = acc + x * y
+        return acc
+
     for i in range(n):
         for j in range(n):
-            left = sum((clock[i][k] * shift[k][j] for k in range(n)), CycNumber.zero(n))
-            right = sum((shift[i][k] * clock[k][j] for k in range(n)), CycNumber.zero(n))
+            left = product_entry(clock, shift, i, j)
+            right = product_entry(shift, clock, i, j)
             if left != zeta * right:
                 raise VerificationFailed(f"commutator defect at entry ({i}, {j})")
 
@@ -218,7 +231,11 @@ def _torus_solutions(
 ) -> list[TorusElement]:
     # All h in (Q/Z)^cols with matrix * h integral, via the Smith normal
     # form: with u a v = d, the solutions are v (c_1/d_1, ..., c_c/d_c) mod 1.
-    # Each returned point is re-verified against the original matrix.
+    # Every d_k divides the last factor D, so h = H / D with the integer
+    # vector H = v (c_1 D/d_1, ..., c_c D/d_c) mod D, and "matrix * h is
+    # integral" is exactly matrix * H = 0 mod D: the enumeration and the
+    # re-verification of each point against the original matrix run over
+    # the integers.  Fractions are built only for the returned coordinates.
     rows = [list(map(int, r)) for r in matrix]
     form = smith_normal_form(rows)
     if form.rank < form.cols:
@@ -229,18 +246,18 @@ def _torus_solutions(
     count = math.prod(ds)
     if count > cap:
         raise CapExceeded(f"{count} solutions exceed the cap {cap}")
+    top = ds[-1] if ds else 1
+    # Only the factors d_k > 1 have a nonzero c_k; w[i] holds the entries
+    # v[i][k] D/d_k mod D of row i over those k.
+    active = [k for k, d in enumerate(ds) if d > 1]
+    w = [[form.v[i][k] * (top // ds[k]) % top for k in active] for i in range(form.cols)]
     out: list[TorusElement] = []
-    for combo in itertools.product(*(range(d) for d in ds)):
-        y = [Fraction(c, d) for c, d in zip(combo, ds)]
-        h = tuple(
-            sum((form.v[i][k] * y[k] for k in range(form.cols)), Fraction(0)) % 1
-            for i in range(form.cols)
-        )
+    for combo in itertools.product(*(range(ds[k]) for k in active)):
+        h = [sum(map(operator.mul, combo, wi)) % top for wi in w]
         for row in rows:
-            image = sum((a * x for a, x in zip(row, h)), Fraction(0))
-            if image.denominator != 1:
+            if sum(map(operator.mul, row, h)) % top:
                 raise VerificationFailed("reconstructed solution is not integral")
-        out.append(TorusElement(n, h))
+        out.append(TorusElement(n, tuple(Fraction(x, top) for x in h)))
     return out
 
 

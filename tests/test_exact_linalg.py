@@ -11,7 +11,6 @@ from knotcover.exact_linalg import (
     AbelianGroup,
     CycNumber,
     NonSquare,
-    SmithForm,
     cokernel,
     companion_tau,
     det_exact,
@@ -295,6 +294,152 @@ def test_eval_at_zeta_matches_complex_evaluation():
             exact = eval_at_zeta(delta, n, k).to_complex()
             z = complex(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n))
             assert abs(exact - delta.eval_complex(z)) < 1e-9
+
+
+# A Fraction-coefficient reference for Q(zeta_N): an element is the tuple
+# of its coefficients of 1, zeta, ..., zeta^(d-1); multiplication reduces
+# modulo Phi_N over Q, and the inverse is the extended Euclidean algorithm
+# against Phi_N.
+
+
+def ref_reduce(n, coeffs):
+    phi = LaurentPoly.cyclotomic(n).coeffs
+    deg = len(phi) - 1
+    work = [Fraction(c) for c in coeffs]
+    for i in range(len(work) - 1, deg - 1, -1):
+        top = work[i]
+        if top == 0:
+            continue
+        for j, pc in enumerate(phi):
+            work[i - deg + j] -= top * pc
+    out = work[:deg]
+    out += [Fraction(0)] * (deg - len(out))
+    return tuple(out)
+
+
+def _fp_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _fp_sub(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] -= c
+    return out
+
+
+def _fp_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return out
+
+
+def _fp_divmod(a, b):
+    rem = list(a)
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        f = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        quo[shift] = f
+        for i, c in enumerate(b):
+            rem[shift + i] -= f * c
+        rem.pop()
+        _fp_trim(rem)
+    return quo, rem
+
+
+def ref_mul(n, a, b):
+    return ref_reduce(n, _fp_mul(list(a), list(b)))
+
+
+def ref_inverse(n, a):
+    r0 = _fp_trim([Fraction(c) for c in LaurentPoly.cyclotomic(n).coeffs])
+    r1 = _fp_trim(list(a))
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        quo, rem = _fp_divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _fp_trim(_fp_sub(s0, _fp_mul(quo, s1)))
+    assert len(r0) == 1
+    return ref_reduce(n, [c / r0[0] for c in s0])
+
+
+def ref_eval_at_zeta(p, n, k):
+    raw = [Fraction(0)] * n
+    for i, c in enumerate(p.coeffs):
+        raw[(k * (p.min_deg + i)) % n] += c
+    return ref_reduce(n, raw)
+
+
+def assert_canonical(x):
+    assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+    assert all(isinstance(c, int) for c in x.num)
+    assert len(x.num) == len(LaurentPoly.cyclotomic(x.n).coeffs) - 1
+
+
+fractions_ = st.builds(
+    Fraction, st.integers(min_value=-30, max_value=30), st.integers(min_value=1, max_value=12)
+)
+coefficients = st.lists(st.one_of(st.integers(min_value=-30, max_value=30), fractions_), max_size=40)
+
+
+@given(st.integers(min_value=2, max_value=16), coefficients, coefficients, fractions_)
+@settings(max_examples=200, deadline=None)
+@example(3, [Fraction(1, 2), 0, Fraction(1, 2)], [1, 1], Fraction(-2, 3))
+@example(12, [0, 1, 0, 0, -1], [Fraction(1, 5)], Fraction(0))
+def test_cyc_number_matches_fraction_reference(n, a_coeffs, b_coeffs, q):
+    a, b = CycNumber.make(n, a_coeffs), CycNumber.make(n, b_coeffs)
+    ra, rb = ref_reduce(n, a_coeffs), ref_reduce(n, b_coeffs)
+    assert a.coeffs == ra and b.coeffs == rb
+    results = [a, b, a + b, a - b, -a, a * b, a * q, q * a, a * q.numerator]
+    expected = [
+        ra,
+        rb,
+        tuple(x + y for x, y in zip(ra, rb)),
+        tuple(x - y for x, y in zip(ra, rb)),
+        tuple(-x for x in ra),
+        ref_mul(n, ra, rb),
+        tuple(x * q for x in ra),
+        tuple(x * q for x in ra),
+        tuple(x * q.numerator for x in ra),
+    ]
+    if not a.is_zero():
+        results += [a.inverse(), b / a]
+        expected += [ref_inverse(n, ra), ref_mul(n, rb, ref_inverse(n, ra))]
+    for got, want in zip(results, expected):
+        assert_canonical(got)
+        assert got.coeffs == want
+    assert a.is_zero() == all(c == 0 for c in ra)
+
+
+@given(laurent_polys, st.integers(min_value=2, max_value=16), st.integers(min_value=-20, max_value=20))
+@settings(max_examples=150, deadline=None)
+def test_eval_at_zeta_matches_fraction_reference(p, n, k):
+    value = eval_at_zeta(p, n, k)
+    assert_canonical(value)
+    assert value.den == 1
+    assert value.coeffs == ref_eval_at_zeta(p, n, k)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_cyc_constructors_are_canonical(n):
+    deg = len(LaurentPoly.cyclotomic(n).coeffs) - 1
+    for x in (CycNumber.zero(n), CycNumber.one(n), CycNumber.integer(n, Fraction(-6, 4))):
+        assert_canonical(x)
+    assert CycNumber.zero(n).num == (0,) * deg and CycNumber.zero(n).den == 1
+    assert CycNumber.integer(n, Fraction(-6, 4)).coeffs == ref_reduce(n, [Fraction(-3, 2)])
+    for k in range(-n, 2 * n):
+        z = CycNumber.zeta(n, k)
+        assert_canonical(z)
+        assert z.coeffs == ref_reduce(n, [0] * (k % n) + [1])
 
 
 def cyc_det(a):

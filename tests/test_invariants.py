@@ -1,5 +1,4 @@
 """Charge bookkeeping, the relative invariant, covers, and orientation signs."""
-import math
 from fractions import Fraction
 
 import pytest
@@ -8,12 +7,10 @@ from hypothesis import given, settings, strategies as st
 from knotcover.exact_linalg import BadRank
 from knotcover.invariants import (
     K3_TOPOLOGY,
-    BundleData,
     DegenerateProduct,
     ManifoldTopology,
     NonIntegralDimension,
     ParityViolation,
-    RelativeInvariant,
     branched_cover_homology,
     cyclic_product_magnitude,
     dimension_zero_kappa,

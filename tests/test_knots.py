@@ -1,8 +1,7 @@
 """Braid words, the two Alexander routes, and the bundled knot table."""
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from knotcover.errors import CrossCheckMismatch
 from knotcover.knots import (
     BraidSyntaxError,
     BraidWord,
@@ -29,13 +28,35 @@ CORPUS_ORACLE = {
 }
 
 
-def braid_words(max_strands=4, max_letters=8):
-    return st.integers(min_value=2, max_value=max_strands).flatmap(
-        lambda n: st.lists(
-            st.integers(min_value=-(n - 1), max_value=n - 1).filter(lambda v: v != 0),
-            max_size=max_letters,
-        ).map(lambda letters: (n, letters))
-    )
+@st.composite
+def braid_words(draw, max_strands=4, max_letters=8):
+    """Random braids whose closure is a knot: random letters, then one
+    letter +-i for each adjacent pair i, i + 1 of strands that still lie in
+    different cycles of the braid permutation; a transposition across two
+    cycles joins them into one."""
+    n = draw(st.integers(min_value=2, max_value=max_strands))
+    letter = st.integers(min_value=1, max_value=n - 1)
+    letters = [
+        v * draw(st.sampled_from((1, -1)))
+        for v in draw(st.lists(letter, max_size=max_letters))
+    ]
+    perm = list(range(n))
+    for v in letters:
+        a = abs(v) - 1
+        perm[a], perm[a + 1] = perm[a + 1], perm[a]
+    cycle = [0] * n
+    for start in range(n):
+        if cycle[start] == 0:
+            j = start
+            while cycle[j] == 0:
+                cycle[j] = start + 1
+                j = perm[j]
+    for i in range(1, n):
+        old, new = cycle[i], cycle[i - 1]
+        if old != new:
+            letters.append(i * draw(st.sampled_from((1, -1))))
+            cycle = [new if c == old else c for c in cycle]
+    return n, letters
 
 
 def test_parse_braid_accepts_whitespace_and_prefix():
@@ -111,10 +132,7 @@ def test_markov_stabilization_fixed_corpus(name, sign):
 @settings(max_examples=60, deadline=None)
 def test_markov_stabilization_random(nl):
     n, letters = nl
-    try:
-        braid = BraidWord(n, letters)
-    except NotAKnot:
-        assume(False)
+    braid = BraidWord(n, letters)
     delta = alexander_checked(braid)
     assert alexander_checked(braid.stabilized(1)) == delta
     assert alexander_checked(braid.stabilized(-1)) == delta
@@ -124,10 +142,7 @@ def test_markov_stabilization_random(nl):
 @settings(max_examples=60, deadline=None)
 def test_fox_route_always_matches_burau(nl):
     n, letters = nl
-    try:
-        braid = BraidWord(n, letters)
-    except NotAKnot:
-        assume(False)
+    braid = BraidWord(n, letters)
     delta = alexander_checked(braid)
     assert delta.eval_rational(1) == 1
     assert delta.involute() == delta

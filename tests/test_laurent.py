@@ -1,6 +1,5 @@
 """Laurent polynomial ring, exact division, symmetrization, cyclotomic
 polynomials, and resultants."""
-import math
 from fractions import Fraction
 
 import pytest

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from knotcover.knots import KnotTable, alexander_checked
 from knotcover.laurent_poly import LaurentPoly
 from knotcover.mahler import (
-    AsymptoticRow,
     SingularSample,
     asymptotic_table,
     mahler_measure_integral,

@@ -1,19 +1,20 @@
 """Flat-point verification, action ladders, and torus solution counts."""
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from knotcover import rep_variety
 from knotcover.errors import VerificationFailed
-from knotcover.exact_linalg import CycNumber, poly_at_matrix
+from knotcover.exact_linalg import CycNumber, poly_at_matrix, smith_normal_form
 from knotcover.invariants import q_relative
 from knotcover.knots import KnotTable, alexander_checked, braid_closure_wirtinger
 from knotcover.laurent_poly import LaurentPoly
 from knotcover.rep_variety import (
     CapExceeded,
-    ChernSimonsLadder,
     Degenerate,
     TorusElement,
     chern_simons_ladder,
@@ -151,6 +152,77 @@ def test_kernel_count_matches_invariant_magnitude(name):
                 kernel_torus_solutions(delta, n)
         else:
             assert len(kernel_torus_solutions(delta, n)) == abs(inv.value)
+
+
+def fraction_torus_solutions(form):
+    """The enumeration over Fractions: v (c_1/d_1, ..., c_c/d_c) mod 1 for
+    every c with 0 <= c_k < d_k, in itertools.product order."""
+    ds = form.invariant_factors[: form.cols]
+    out = []
+    for combo in itertools.product(*(range(d) for d in ds)):
+        y = [Fraction(c, d) for c, d in zip(combo, ds)]
+        out.append(
+            tuple(
+                sum((form.v[i][k] * y[k] for k in range(form.cols)), Fraction(0)) % 1
+                for i in range(form.cols)
+            )
+        )
+    return out
+
+
+@given(
+    st.builds(
+        LaurentPoly,
+        st.integers(min_value=-3, max_value=2),
+        st.lists(st.integers(min_value=-4, max_value=4), max_size=5),
+    ),
+    st.integers(min_value=2, max_value=9),
+)
+@settings(max_examples=150, deadline=None)
+@example(FIG8, 6)
+@example(LaurentPoly(-1, (2, -3, 2)), 4)
+def test_kernel_solutions_match_fraction_enumeration(delta, n):
+    cap = 500
+    form = smith_normal_form(poly_at_matrix(delta, n))
+    if form.rank < form.cols:
+        with pytest.raises(Degenerate):
+            kernel_torus_solutions(delta, n, cap)
+    elif math.prod(form.invariant_factors) > cap:
+        with pytest.raises(CapExceeded):
+            kernel_torus_solutions(delta, n, cap)
+    else:
+        points = kernel_torus_solutions(delta, n, cap)
+        assert [p.coords for p in points] == fraction_torus_solutions(form)
+        assert all(p.n == n and len(p) == n - 1 for p in points)
+
+
+def test_kernel_solutions_reject_a_corrupted_transform(monkeypatch):
+    # Adding column 0 of v (whose factor is 1) to the last column turns the
+    # points with c_last != 0 into non-solutions; the mod-D re-check of each
+    # point against delta(tau) must catch them.
+    delta = LaurentPoly(-1, (2, -3, 2))
+    real = rep_variety.smith_normal_form
+
+    def corrupted(matrix):
+        form = real(matrix)
+        assert form.invariant_factors == (1, 3, 21)
+        v = [list(row) for row in form.v]
+        for row in v:
+            row[-1] += row[0]
+        return dataclasses.replace(form, v=tuple(map(tuple, v)))
+
+    assert len(kernel_torus_solutions(delta, 4)) == 63
+    monkeypatch.setattr(rep_variety, "smith_normal_form", corrupted)
+    with pytest.raises(VerificationFailed, match="not integral"):
+        kernel_torus_solutions(delta, 4)
+
+
+def test_det_at_zeta_rejects_non_integral_entries():
+    half = CycNumber.integer(3, Fraction(1, 2))
+    one, zero = CycNumber.one(3), CycNumber.zero(3)
+    with pytest.raises(VerificationFailed, match="not in Z"):
+        rep_variety._det_at_zeta([[one, zero], [zero, half]])
+    assert rep_variety._det_at_zeta([[one, zero], [zero, half * 2]]) == one
 
 
 def test_wirtinger_matrix_trefoil_frozen():
