@@ -218,11 +218,38 @@ def cyclic_product_magnitude(delta: LaurentPoly, n: int) -> int:
     |q_relative| by one exact integer determinant of a power: with
     delta = t^s * P, P of degree d and leading coefficient a, the magnitude is
     |det(D^n - a^n I)| / (|a|^(n(d-1)) * |P(1)|) for D the integer rescaling
-    a*C of the companion matrix C of P.  Fast enough to walk n into the
-    hundreds, and cross-checked against q_relative on small n in the tests.
+    a*C of the companion matrix C of P.  D^n comes from one repeated-squaring
+    mat_pow; to walk a ladder of n, call cyclic_product_magnitudes, which
+    carries the power from rung to rung.  Cross-checked against q_relative on
+    small n in the tests.
+
+    >>> cyclic_product_magnitude(LaurentPoly(-1, (-1, 3, -1)), 3)
+    16
     """
-    if n < 2:
-        raise BadRank(f"need n >= 2, got {n}")
+    return cyclic_product_magnitudes(delta, [n])[0]
+
+
+def cyclic_product_magnitudes(delta: LaurentPoly, ns: Sequence[int]) -> list[int]:
+    """
+    cyclic_product_magnitude at every n of ns, in the order given, repeats
+    included.  Every n is checked (n < 2 raises BadRank) before any matrix
+    work.  The smallest n is reached by one mat_pow; from there D^n is
+    carried up the sorted distinct values by companion steps.  D = a*C has
+    a on its subdiagonal and -c_i in its last column, so D*M is one O(d^2)
+    step with no matrix product: row 0 is -c_0 times the last row of M, and
+    row i is a times row i-1 minus c_i times the last row.  Each rung then
+    costs one O(d^3) det_exact plus O(gap * d^2) for the steps from the rung
+    below, and keeps the exact divisibility check.
+
+    >>> cyclic_product_magnitudes(LaurentPoly(-1, (-1, 3, -1)), [5, 3, 5])
+    [121, 16, 121]
+    """
+    ns = list(ns)
+    for n in ns:
+        if n < 2:
+            raise BadRank(f"need n >= 2, got {n}")
+    if not ns:
+        return []
     if delta.is_zero():
         raise ValueError("the zero polynomial has no root-of-unity product")
     coeffs = delta.coeffs
@@ -232,22 +259,35 @@ def cyclic_product_magnitude(delta: LaurentPoly, n: int) -> int:
     deg = len(coeffs) - 1
     a = coeffs[-1]
     if deg == 0:
-        return abs(a) ** (n - 1)
+        return [abs(a) ** (n - 1) for n in ns]
+    rungs = sorted(set(ns))
     d_mat = [[0] * deg for _ in range(deg)]
     for i in range(1, deg):
         d_mat[i][i - 1] = a
     for i in range(deg):
         d_mat[i][deg - 1] -= coeffs[i]
-    power = mat_pow(d_mat, n)
-    a_n = a**n
-    for i in range(deg):
-        power[i][i] -= a_n
-    det = det_exact(power)
-    denom = abs(a) ** (n * (deg - 1)) * abs(p_at_1)
-    mag, rem = divmod(abs(det), denom)
-    if rem != 0:
-        raise InternalError("companion power determinant not divisible by its unit content")
-    return mag
+    at = rungs[0]
+    power = mat_pow(d_mat, at)
+    mags = {}
+    for n in rungs:
+        for _ in range(n - at):
+            last = power[-1]
+            power = [[-coeffs[0] * y for y in last]] + [
+                [a * x - c * y for x, y in zip(row, last)]
+                for row, c in zip(power, coeffs[1:-1])
+            ]
+        at = n
+        shifted = [row[:] for row in power]
+        a_n = a**n
+        for i in range(deg):
+            shifted[i][i] -= a_n
+        det = det_exact(shifted)
+        denom = abs(a) ** (n * (deg - 1)) * abs(p_at_1)
+        mag, rem = divmod(abs(det), denom)
+        if rem != 0:
+            raise InternalError("companion power determinant not divisible by its unit content")
+        mags[n] = mag
+    return [mags[n] for n in ns]
 
 
 def q_fintushel_stern(q_x: int, delta: LaurentPoly, n: int) -> int:

@@ -4,8 +4,9 @@ Mahler measures and the growth rate of the root-of-unity products.
 Two float routes to the Mahler measure cross-check each other: the root
 product |a| * prod max(1, |root|) with roots from an Aberth-Ehrlich solver,
 and the direct unit-circle sampling exp(mean log |p|).  The exact integer
-ladder q_n from cyclic_product_magnitude then lets the asymptotic slope
-log(q_n)/n be compared against log of the Mahler measure.
+ladder q_n from cyclic_product_magnitudes, which carries one companion power
+up the whole ladder, then lets the asymptotic slope log(q_n)/n be compared
+against log of the Mahler measure.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import dataclasses
 import math
 from typing import Sequence
 
-from .invariants import cyclic_product_magnitude
+from .invariants import cyclic_product_magnitudes
 from .laurent_poly import LaurentPoly
 
 
@@ -167,18 +168,21 @@ class AsymptoticRow:
 
 def asymptotic_table(delta: LaurentPoly, ns: Sequence[int]) -> list[AsymptoticRow]:
     """
-    For each n: the exact product magnitude q_n, the slope log(q_n)/n, and
-    its distance from log of the root-route Mahler measure.  Degenerate rungs
-    (q_n = 0) report None for both float columns.
+    For each n, in the order given: the exact product magnitude q_n, the
+    slope log(q_n)/n, and its distance from log of the root-route Mahler
+    measure.  All q_n come from one cyclic_product_magnitudes walk, so an
+    n < 2 anywhere in ns raises BadRank before any rung is computed.
+    Degenerate rungs (q_n = 0) report None for both float columns.
 
     >>> rows = asymptotic_table(LaurentPoly(0, (1,)), [2, 3])
     >>> [(r.n, r.q, r.rate) for r in rows]
     [(2, 1, 0.0), (3, 1, 0.0)]
     """
     log_m = math.log(mahler_measure_roots(delta))
+    ns = list(ns)
+    qs = cyclic_product_magnitudes(delta, ns)
     out = []
-    for n in ns:
-        q = cyclic_product_magnitude(delta, n)
+    for n, q in zip(ns, qs):
         if q == 0:
             out.append(
                 AsymptoticRow(n=n, q=0, rate=None, log_alpha=log_m, gap=None, degenerate=True)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: output shapes and exit codes."""
 import json
+import math
 
 import pytest
 
@@ -152,6 +153,21 @@ def test_mahler_json_big_integers_exact(capsys):
     assert last["n"] == 99
     assert int(last["q"]) == cyclic_product_magnitude(FIG8, 99)
     assert last["gap"] < 1e-3
+
+
+def test_mahler_degree_32_torus_knot_ladder(capsys):
+    # The closure of (1 2 3 4)^9 is T(5, 9); its Alexander polynomial has
+    # degree 32 and vanishes exactly at the roots of unity of order 15 and 45.
+    braid = "strands=5; " + " ".join(["1 2 3 4"] * 9)
+    code, out, _ = run(capsys, "mahler", braid, "--n-max", "399", "--json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["n"] for r in rows] == list(range(3, 400, 2))
+    for r in rows:
+        assert r["degenerate"] == (r["n"] % 15 == 0)
+        if math.gcd(r["n"], 45) == 1:
+            # the cover is the Brieskorn homology sphere Sigma(5, 9, n)
+            assert r["q"] == "1"
 
 
 def test_dim_k3(capsys):

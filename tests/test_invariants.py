@@ -2,9 +2,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from knotcover.exact_linalg import BadRank
+from knotcover import invariants
+from knotcover.exact_linalg import BadRank, det_exact, mat_pow
 from knotcover.invariants import (
     K3_TOPOLOGY,
     DegenerateProduct,
@@ -13,6 +14,7 @@ from knotcover.invariants import (
     ParityViolation,
     branched_cover_homology,
     cyclic_product_magnitude,
+    cyclic_product_magnitudes,
     dimension_zero_kappa,
     formal_dimension,
     is_coprime,
@@ -28,6 +30,7 @@ from knotcover.invariants import (
 )
 from knotcover.knots import KnotTable, alexander_checked
 from knotcover.laurent_poly import LaurentPoly
+from knotcover.mahler import asymptotic_table
 
 # |q_N| for the bundled knots at N = 2..12, frozen from the three-route
 # computation and confirmed against closed forms where one exists:
@@ -171,6 +174,89 @@ def test_fast_ladder_handles_unknot_and_large_n():
     assert cyclic_product_magnitude(UNKNOT, 97) == 1
     assert cyclic_product_magnitude(TREFOIL, 96) == 0
     assert cyclic_product_magnitude(corpus_delta("6_1"), 31) == (2**31 - 1) ** 2
+
+
+def ref_cyclic_product_magnitude(delta, n):
+    # One rung from scratch: D^n by repeated squaring, then the determinant.
+    coeffs = delta.coeffs
+    p_at_1 = sum(coeffs)
+    deg = len(coeffs) - 1
+    a = coeffs[-1]
+    if deg == 0:
+        return abs(a) ** (n - 1)
+    d_mat = [[0] * deg for _ in range(deg)]
+    for i in range(1, deg):
+        d_mat[i][i - 1] = a
+    for i in range(deg):
+        d_mat[i][deg - 1] -= coeffs[i]
+    power = mat_pow(d_mat, n)
+    a_n = a**n
+    for i in range(deg):
+        power[i][i] -= a_n
+    mag, rem = divmod(abs(det_exact(power)), abs(a) ** (n * (deg - 1)) * abs(p_at_1))
+    assert rem == 0
+    return mag
+
+
+def torus_knot_delta(p, q):
+    # (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)), of degree (p - 1)(q - 1)
+    def t_power_minus_one(k):
+        return LaurentPoly(0, (-1,) + (0,) * (k - 1) + (1,))
+
+    num = t_power_minus_one(p * q) * t_power_minus_one(1)
+    return num // (t_power_minus_one(p) * t_power_minus_one(q))
+
+
+@st.composite
+def ladder_deltas(draw):
+    deg = draw(st.integers(min_value=0, max_value=10))
+    lead = draw(st.integers(min_value=1, max_value=5)) * draw(st.sampled_from((1, -1)))
+    lower = draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=deg, max_size=deg))
+    if deg and sum(lower) + lead == 0:
+        lower[0] += 1  # keep P(1) != 0, where the closed formula holds
+    return LaurentPoly(draw(st.integers(min_value=-5, max_value=2)), lower + [lead])
+
+
+@given(ladder_deltas(), st.lists(st.integers(min_value=2, max_value=60), max_size=8))
+@example(FIG8, [9, 3, 9, 2, 60, 3])
+@example(TREFOIL, [12, 6, 7, 6])
+@example(LaurentPoly(-5, (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -5)), [60, 2, 31, 2])
+@example(LaurentPoly(2, (3,)), [4, 2, 4])
+@settings(max_examples=60, deadline=None)
+def test_companion_steps_match_per_rung_powers(delta, ns):
+    assert cyclic_product_magnitudes(delta, ns) == [
+        ref_cyclic_product_magnitude(delta, n) for n in ns
+    ]
+
+
+def test_companion_steps_match_per_rung_powers_at_degree_32():
+    t59 = torus_knot_delta(5, 9)
+    assert len(t59.coeffs) - 1 == 32
+    ns = [61, 3, 62, 7]
+    assert cyclic_product_magnitudes(t59, ns) == [
+        ref_cyclic_product_magnitude(t59, n) for n in ns
+    ]
+
+
+def test_ladder_takes_one_matrix_power(monkeypatch):
+    # D^n is carried up the ladder by companion steps; a power per rung
+    # would bring back one repeated squaring for every n.
+    powers = []
+    real_mat_pow = invariants.mat_pow
+
+    def counting_mat_pow(a, n):
+        powers.append(n)
+        return real_mat_pow(a, n)
+
+    monkeypatch.setattr(invariants, "mat_pow", counting_mat_pow)
+    delta = corpus_delta("5_1")
+    assert len(delta.coeffs) - 1 >= 4
+    rows = asymptotic_table(delta, range(3, 200, 2))
+    assert len(rows) == 99 and powers == [3]
+    powers.clear()
+    assert cyclic_product_magnitude(delta, 7) == abs(q_relative(delta, 7).value)
+    assert powers == [7]
+
 
 
 def test_q_fintushel_stern_scaling():

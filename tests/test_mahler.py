@@ -4,6 +4,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knotcover import invariants
+from knotcover.exact_linalg import BadRank
 from knotcover.knots import KnotTable, alexander_checked
 from knotcover.laurent_poly import LaurentPoly
 from knotcover.mahler import (
@@ -173,3 +175,26 @@ def test_asymptotic_gap_decays():
     gaps = [r.gap for r in rows]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-16 * 41 or gaps[-1] < 1e-3
+
+
+def test_asymptotic_table_keeps_the_callers_order():
+    delta = corpus_delta("5_2")
+    ns = [3, 5, 7, 9, 11]
+    by_n = {row.n: row for row in asymptotic_table(delta, ns)}
+    for order in (ns[::-1], [11, 3, 9, 9, 5, 3, 7, 11]):
+        assert asymptotic_table(delta, order) == [by_n[n] for n in order]
+
+
+def test_asymptotic_table_of_no_rungs_is_empty():
+    assert asymptotic_table(FIG8, []) == []
+
+
+@pytest.mark.parametrize("ns", ([3, 5, 1, 7], [1], [9, 3, 0]))
+def test_asymptotic_table_checks_every_rank_before_any_rung(monkeypatch, ns):
+    def refuse(*args):
+        raise AssertionError("a rung was computed before every n was checked")
+
+    monkeypatch.setattr(invariants, "mat_pow", refuse)
+    monkeypatch.setattr(invariants, "det_exact", refuse)
+    with pytest.raises(BadRank):
+        asymptotic_table(FIG8, ns)
