@@ -3,9 +3,14 @@ Exact linear algebra over the integers, Laurent polynomials and cyclotomic
 fields.
 
 det_exact is the package's one determinant: a fraction-free Bareiss
-elimination whose entries decide the ring (integers, or LaurentPoly for
-Z[t^+-1]).  The Burau and Fox Alexander routes, the Sylvester-matrix
-resultant and the companion-matrix route all call it.  Integer side:
+elimination over the integers.  A matrix over Z[t^+-1] (LaurentPoly
+entries) goes through the same integer elimination by Kronecker
+substitution: each row is shifted to ordinary polynomials, t is set to 2^B
+with B large enough that every coefficient of the determinant is one
+balanced base-2^B digit, and the digits of the integer determinant are read
+back as coefficients.  The Burau and Fox Alexander routes, the Z[zeta_N]
+lifts, the Sylvester-matrix resultant and the companion-matrix route all
+call it.  Integer side:
 Smith normal form with recorded unimodular transforms, cokernels as abelian
 groups, the companion matrix tau of 1 + t + ... + t^(N-1), and delta(tau),
 built column by column by reducing t^j * delta modulo 1 + t + ... + t^(N-1):
@@ -28,10 +33,12 @@ True
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import InternalError
 from .laurent_poly import LaurentPoly
 
 Matrix = list[list[int]]
@@ -93,11 +100,29 @@ def mat_pow(a: Matrix, n: int) -> Matrix:
 
 def det_exact(a: Sequence[Sequence]):
     """
-    Exact determinant by Bareiss's fraction-free elimination.  The entries
-    decide the ring: integers, or LaurentPoly for Z[t^+-1].  Every interior
-    division is exact (Sylvester's identity) and is written `//`, which
-    LaurentPoly implements as exact division.  The empty matrix has
-    determinant 1; a singular one gives the zero of the entries' ring.
+    Exact determinant by Bareiss's fraction-free elimination over the
+    integers; every interior division is exact (Sylvester's identity).  The
+    empty matrix has determinant 1.
+
+    A matrix with any LaurentPoly entry (ints may be mixed in) is taken over
+    Z[t^+-1] by Kronecker substitution, so the elimination still sees only
+    integers.  Row i is multiplied by t^-lo_i, lo_i its lowest exponent,
+    which makes every entry an ordinary polynomial and multiplies the
+    determinant by t^-(sum lo_i); a zero row gives the zero polynomial at
+    once.  With bound = prod_i sum_j |a_ij|_1 (the l1 norm of coefficients),
+    every coefficient of the determinant is at most |det|_1 <= bound in
+    absolute value, since each of the n! Leibniz terms has l1 norm at most
+    the product of its entries' norms.  So with B = bound.bit_length() + 1,
+    2^(B-1) > bound and every coefficient is one balanced base-2^B digit;
+    evaluating at t = 2^B is a ring map, so the integer determinant of the
+    evaluated matrix holds the coefficients as its digits.  The degree is at
+    most the sum of the shifted rows' degree spans, so that many digits plus
+    one are read back, and anything left over raises InternalError.  The
+    cost is one integer Bareiss, O(n^3) products and exact divisions of
+    integers of at most about B * (sum of row spans + n) bits, in place of
+    as many polynomial products and long divisions.  A Laurent matrix
+    always gets a LaurentPoly back, the zero polynomial when it is
+    singular.
 
     >>> det_exact([[2, 1], [7, 4]])
     1
@@ -105,11 +130,15 @@ def det_exact(a: Sequence[Sequence]):
     9999999999999999999999999999999999999999
     >>> det_exact([[LaurentPoly.t(), 1], [1, LaurentPoly.t(-1)]])
     LaurentPoly('0')
+    >>> det_exact([[LaurentPoly(-2, (1, -1)), 3], [LaurentPoly.t(-1), LaurentPoly.t(4, 2)]])
+    LaurentPoly('-3*t^-1 + 2*t^2 - 2*t^3')
     """
     m = [list(row) for row in a]
     n = len(m)
     if any(len(row) != n for row in m):
         raise NonSquare("determinant of a ragged or rectangular matrix")
+    if LaurentPoly in map(type, itertools.chain.from_iterable(m)):
+        return _laurent_det(m)
     if n == 0:
         return 1
     sign, prev = 1, 1
@@ -136,6 +165,40 @@ def det_exact(a: Sequence[Sequence]):
                     row[j] = row[j] * pivot // prev
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+def _laurent_det(m: list[list]) -> LaurentPoly:
+    # Kronecker substitution t = 2^B for det_exact; see its docstring.
+    rows = [[LaurentPoly(0, (x,)) if isinstance(x, int) else x for x in row] for row in m]
+    lows, spans, bound = [], [], 1
+    for row in rows:
+        nonzero = [p for p in row if p]
+        if not nonzero:
+            return LaurentPoly.zero()
+        lo = min(p.min_deg for p in nonzero)
+        lows.append(lo)
+        spans.append(max(p.max_deg() for p in nonzero) - lo)
+        bound *= sum(abs(c) for p in nonzero for c in p.coeffs)
+    width = bound.bit_length() + 1
+
+    def pack(p: LaurentPoly, lo: int) -> int:
+        acc = 0
+        for c in reversed(p.coeffs):
+            acc = (acc << width) + c
+        return acc << (width * (p.min_deg - lo)) if p else 0
+
+    value = det_exact([[pack(p, lo) for p in row] for row, lo in zip(rows, lows)])
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    digits = []
+    for _ in range(sum(spans) + 1):
+        d = value & mask
+        if d >= half:
+            d -= 1 << width
+        digits.append(d)
+        value = (value - d) >> width
+    if value:
+        raise InternalError("Kronecker determinant has digits past the degree bound")
+    return LaurentPoly(sum(lows), digits)
 
 
 def resultant(f: LaurentPoly, g: LaurentPoly) -> int:

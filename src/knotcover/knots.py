@@ -16,8 +16,12 @@ The two Alexander routes:
 * Fox calculus on the Wirtinger presentation of the closure, dropping one
   relation and the column of a chosen base meridian.
 
+The Burau matrix of a word is built letter by letter, each letter
+rewriting two columns in place; the Fox matrix is read off the relations.
 Both determinants are exact_linalg.det_exact over Laurent-polynomial
-entries, and the Burau quotient is LaurentPoly's exact division.
+entries (an integer determinant by Kronecker substitution), and the Burau
+quotient is LaurentPoly's exact division.  The two matrices share nothing
+but the determinant routine.
 
 Both are normalized to the symmetric representative with value 1 at t = 1,
 and agreement of the two routes is the standard cross-check on every knot
@@ -255,24 +259,16 @@ def braid_closure_wirtinger(braid: BraidWord) -> WirtingerPresentation:
     )
 
 
-def _burau_letter(v: int, n: int) -> list[list[LaurentPoly]]:
-    # Unreduced Burau matrix of one letter; fixes the all-ones column vector.
-    m = [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(n)] for i in range(n)]
-    a = abs(v) - 1
-    t = LaurentPoly.t
-    if v > 0:
-        m[a][a], m[a][a + 1] = 1 - t(), t()
-        m[a + 1][a], m[a + 1][a + 1] = LaurentPoly.one(), LaurentPoly.zero()
-    else:
-        m[a][a], m[a][a + 1] = LaurentPoly.zero(), LaurentPoly.one()
-        m[a + 1][a], m[a + 1][a + 1] = t(-1), 1 - t(-1)
-    return m
-
-
 def alexander_burau(braid: BraidWord) -> LaurentPoly:
     """
     Alexander polynomial through the quotient of the unreduced Burau
     representation by its invariant all-ones vector.
+
+    The Burau matrix of the word is built left to right.  The matrix of one
+    letter differs from the identity only in columns a and a+1, so
+    right-multiplying by it rewrites just those two columns, entrywise:
+    (x, y) -> (x - x*t + y, x*t) for the letter a+1 and
+    (x, y) -> (y*t^-1, x + y - y*t^-1) for its inverse.
 
     >>> alexander_burau(BraidWord(2, (1, 1, 1))).to_text()
     '1*t^-1 - 1 + 1*t^1'
@@ -284,16 +280,15 @@ def alexander_burau(braid: BraidWord) -> LaurentPoly:
         return LaurentPoly.one()
     full = [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(n)] for i in range(n)]
     for v in braid.letters:
-        step = _burau_letter(v, n)
-        nxt = [[LaurentPoly.zero() for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for k in range(n):
-                if full[i][k].is_zero():
-                    continue
-                for j in range(n):
-                    if not step[k][j].is_zero():
-                        nxt[i][j] = nxt[i][j] + full[i][k] * step[k][j]
-        full = nxt
+        a = abs(v) - 1
+        for row in full:
+            x, y = row[a], row[a + 1]
+            if v > 0:
+                xt = LaurentPoly(x.min_deg + 1, x.coeffs)
+                row[a], row[a + 1] = x - xt + y, xt
+            else:
+                yt = LaurentPoly(y.min_deg - 1, y.coeffs)
+                row[a], row[a + 1] = yt, x + y - yt
     # Quotient action on C^n / span(1,...,1), in the basis of the first n-1
     # coordinate images.
     quot = [[full[i][j] - full[n - 1][j] for j in range(n - 1)] for i in range(n - 1)]

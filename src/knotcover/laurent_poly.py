@@ -161,9 +161,8 @@ class LaurentPoly:
         """
         Exact division by schoolbook long division on the coefficient list,
         updated in place; raises ValueError when the division has a
-        remainder.  `//` is the same exact division, so code written for
-        integers with exact `//` (det_exact) runs unchanged on Laurent
-        polynomials.
+        remainder.  There is no `//`: a Laurent quotient is either exact or
+        an error, never a floor.
 
         >>> LaurentPoly(0, (-1, 0, 0, 1)) / LaurentPoly(0, (-1, 1))
         LaurentPoly('1 + 1*t^1 + 1*t^2')
@@ -190,8 +189,6 @@ class LaurentPoly:
         if any(rem[:top]):
             raise ValueError(f"{self!r} is not divisible by {other!r}")
         return LaurentPoly(self.min_deg - other.min_deg, quo)
-
-    __floordiv__ = __truediv__
 
     def involute(self) -> LaurentPoly:
         """

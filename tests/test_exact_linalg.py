@@ -21,7 +21,7 @@ from knotcover.exact_linalg import (
     smith_normal_form,
 )
 from knotcover.invariants import branched_cover_homology, q_relative
-from knotcover.knots import KnotTable, alexander_checked
+from knotcover.knots import KnotTable, alexander_checked, braid_closure_wirtinger, parse_braid
 from knotcover.laurent_poly import LaurentPoly
 from knotcover.rep_variety import clock_shift, kernel_torus_solutions
 
@@ -115,6 +115,98 @@ def test_det_exact_matches_leibniz_on_laurent_polynomials(a):
     det = det_exact(a)
     assert isinstance(det, LaurentPoly)
     assert det == leibniz_det(a)
+
+
+def ref_laurent_det(a):
+    """Bareiss elimination carried out over LaurentPoly entries, every
+    interior division an exact polynomial division: the Laurent
+    determinant before Kronecker substitution."""
+    m = [[x if isinstance(x, LaurentPoly) else LaurentPoly(0, (x,)) for x in row] for row in a]
+    n = len(m)
+    sign, prev = 1, LaurentPoly.one()
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return LaurentPoly.zero()
+        top = m[k]
+        pivot = top[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            factor = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - factor * top[j]) / prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def fox_matrix(text):
+    """The matrix alexander_fox takes the determinant of: one row per
+    Wirtinger relation but the last, the base meridian's column dropped;
+    untouched entries stay the int 0."""
+    pres = braid_closure_wirtinger(parse_braid(text))
+    rows = []
+    for k, i, j, s in pres.relations[:-1]:
+        row = [0] * pres.n_generators
+        row[j] += 1 - LaurentPoly.t(s)
+        row[i] += LaurentPoly.t(s)
+        row[k] -= 1
+        del row[pres.base_meridian]
+        rows.append(row)
+    return rows
+
+
+kronecker_entries = st.one_of(
+    st.builds(
+        LaurentPoly,
+        st.integers(min_value=-5, max_value=3),
+        st.lists(st.integers(min_value=-50, max_value=50), max_size=4),
+    ),
+    st.integers(min_value=-50, max_value=50),
+)
+
+
+@st.composite
+def kronecker_cases(draw):
+    """Square Laurent matrices up to 6 x 6 with ints mixed in; two in five
+    get a zero row, a zero column, or a row that repeats another one scaled
+    by an integer or a monomial, so they are singular.  At least
+    one entry is a LaurentPoly."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    a = [[draw(kronecker_entries) for _ in range(n)] for _ in range(n)]
+    index = st.integers(min_value=0, max_value=n - 1)
+    zero = st.sampled_from((0, LaurentPoly.zero()))
+    shape = draw(st.sampled_from(("plain", "plain", "zero row", "zero column", "scaled row")))
+    if shape == "zero row":
+        a[draw(index)] = [draw(zero) for _ in range(n)]
+    elif shape == "zero column":
+        col = draw(index)
+        for row in a:
+            row[col] = draw(zero)
+    elif shape == "scaled row" and n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.sampled_from((1, -1, 3, LaurentPoly.t(-2), LaurentPoly.t(1, -2))))
+        a[j] = [x * c for x in a[i]]
+    if not any(isinstance(x, LaurentPoly) for row in a for x in row):
+        i, j = draw(index), draw(index)
+        a[i][j] = LaurentPoly(0, (a[i][j],))
+    return a
+
+
+@given(kronecker_cases())
+@settings(max_examples=200, deadline=None)
+# one term equal to the coefficient bound 5 * 7 = 35, the widest digit
+@example([[LaurentPoly.t(-2, 5), 0], [0, LaurentPoly.t(3, 7)]])
+# a 35 x 35 Fox matrix, ints and LaurentPolys mixed
+@example(fox_matrix(" ".join(["1 -2 3 -4 5 -6"] * 6)))
+def test_kronecker_det_matches_laurent_bareiss(a):
+    det = det_exact(a)
+    assert isinstance(det, LaurentPoly)
+    assert det == ref_laurent_det(a)
 
 
 @given(square_matrices, square_matrices)

@@ -204,7 +204,7 @@ def torus_knot_delta(p, q):
         return LaurentPoly(0, (-1,) + (0,) * (k - 1) + (1,))
 
     num = t_power_minus_one(p * q) * t_power_minus_one(1)
-    return num // (t_power_minus_one(p) * t_power_minus_one(q))
+    return num / (t_power_minus_one(p) * t_power_minus_one(q))
 
 
 @st.composite

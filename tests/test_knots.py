@@ -2,6 +2,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knotcover.exact_linalg import det_exact
 from knotcover.knots import (
     BraidSyntaxError,
     BraidWord,
@@ -15,7 +16,7 @@ from knotcover.knots import (
     braid_closure_wirtinger,
     parse_braid,
 )
-from knotcover.laurent_poly import LaurentPoly
+from knotcover.laurent_poly import LaurentPoly, symmetrize_alexander
 
 # knot name -> (symmetrized Alexander polynomial, determinant |Delta(-1)|)
 CORPUS_ORACLE = {
@@ -146,6 +147,71 @@ def test_fox_route_always_matches_burau(nl):
     delta = alexander_checked(braid)
     assert delta.eval_rational(1) == 1
     assert delta.involute() == delta
+
+
+@given(braid_words(max_strands=5, max_letters=12))
+@settings(max_examples=80, deadline=None)
+def test_alexander_invariant_under_mirror_image(nl):
+    # The mirror image negates every letter; it turns Delta(t) into
+    # Delta(1/t), which is the same symmetrized polynomial.
+    n, letters = nl
+    mirror = BraidWord(n, [-v for v in letters])
+    assert alexander_checked(mirror) == alexander_checked(BraidWord(n, letters))
+
+
+@given(braid_words(max_strands=5, max_letters=12), st.data())
+@settings(max_examples=80, deadline=None)
+def test_alexander_invariant_under_conjugation(nl, data):
+    # A rotated word is a conjugate braid, whose closure is the same knot.
+    n, letters = nl
+    k = data.draw(st.integers(min_value=1, max_value=len(letters)))
+    rotated = BraidWord(n, letters[k:] + letters[:k])
+    assert alexander_checked(rotated) == alexander_checked(BraidWord(n, letters))
+
+
+def ref_burau_letter(v, n):
+    # Unreduced Burau matrix of one letter; fixes the all-ones column vector.
+    m = [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(n)] for i in range(n)]
+    a = abs(v) - 1
+    t = LaurentPoly.t
+    if v > 0:
+        m[a][a], m[a][a + 1] = 1 - t(), t()
+        m[a + 1][a], m[a + 1][a + 1] = LaurentPoly.one(), LaurentPoly.zero()
+    else:
+        m[a][a], m[a][a + 1] = LaurentPoly.zero(), LaurentPoly.one()
+        m[a + 1][a], m[a + 1][a + 1] = t(-1), 1 - t(-1)
+    return m
+
+
+def ref_alexander_burau(braid):
+    """The Burau route with the word's matrix built as a full product of
+    n x n letter matrices, one LaurentPoly matrix product per letter."""
+    n = braid.strands
+    if n == 1:
+        return LaurentPoly.one()
+    full = [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(n)] for i in range(n)]
+    for v in braid.letters:
+        step = ref_burau_letter(v, n)
+        nxt = [[LaurentPoly.zero() for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for k in range(n):
+                if full[i][k].is_zero():
+                    continue
+                for j in range(n):
+                    if not step[k][j].is_zero():
+                        nxt[i][j] = nxt[i][j] + full[i][k] * step[k][j]
+        full = nxt
+    quot = [[full[i][j] - full[n - 1][j] for j in range(n - 1)] for i in range(n - 1)]
+    char = [[(LaurentPoly.one() if i == j else LaurentPoly.zero()) - quot[i][j] for j in range(n - 1)]
+            for i in range(n - 1)]
+    return symmetrize_alexander(det_exact(char) / LaurentPoly.all_ones(n))
+
+
+@given(braid_words(max_strands=6, max_letters=20))
+@settings(max_examples=60, deadline=None)
+def test_burau_column_updates_match_full_products(nl):
+    braid = BraidWord(*nl)
+    assert alexander_burau(braid) == ref_alexander_burau(braid)
 
 
 def test_wirtinger_shapes():
