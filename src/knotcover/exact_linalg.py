@@ -1,6 +1,6 @@
 """
-Exact linear algebra over the integers, Laurent polynomials and cyclotomic
-fields.
+Exact linear algebra over the integers, Laurent polynomials and the
+cyclotomic integers Z[zeta_N].
 
 det_exact is the package's one determinant: a fraction-free Bareiss
 elimination over the integers.  A matrix over Z[t^+-1] (LaurentPoly
@@ -15,27 +15,31 @@ Smith normal form with recorded unimodular transforms, cokernels as abelian
 groups, the companion matrix tau of 1 + t + ... + t^(N-1), and delta(tau),
 built column by column by reducing t^j * delta modulo 1 + t + ... + t^(N-1):
 tau^N = I turns negative powers into positive ones, so no matrix product or
-inverse is needed.  Cyclotomic side: CycNumber, an element of Q(zeta_N)
-stored as integer numerators of 1, zeta, ..., zeta^(d-1) (d = deg Phi_N) over
-one positive denominator, normalised by gcd; its arithmetic is integer
-convolution reduced modulo the monic Phi_N, and its inverse is Cramer's rule
-through det_exact, so no Fraction is built.  eval_at_zeta is the ring map
-Z[t^+-1] -> Z[zeta_N]; a determinant over Z[zeta_N] is det_exact of integral
-lifts to Z[t], mapped through eval_at_zeta.  No floating point anywhere in
-this module.
+inverse is needed.  Cyclotomic side: CycNumber, an element of Z[zeta_N]
+stored as the integer coefficients of 1, zeta, ..., zeta^(d-1)
+(d = deg Phi_N); its arithmetic is integer convolution reduced modulo the
+monic Phi_N.  It has no denominator and no field inverse: ranks over
+Q(zeta_N) are taken by fraction-free elimination.  eval_at_zeta is the ring
+map Z[t^+-1] -> Z[zeta_N]; a determinant over Z[zeta_N] is det_exact of
+integral lifts to Z[t], mapped through eval_at_zeta.  No floating point
+anywhere in this module.
 
->>> x = CycNumber.make(4, [Fraction(1, 2), Fraction(1, 3)])  # 1/2 + zeta/3
->>> x.num, x.den
-((3, 2), 6)
->>> x * x.inverse() == CycNumber.one(4)
+>>> x = CycNumber.make(4, [3, 2, 0, 1])  # 3 + 2 zeta + zeta^3, zeta^2 = -1
+>>> x.num
+(3, 1)
+>>> x * CycNumber.zeta(4, -1) == CycNumber.make(4, [1, -3])
 True
+>>> from fractions import Fraction
+>>> CycNumber.make(4, [Fraction(1, 2)])
+Traceback (most recent call last):
+    ...
+TypeError: Z[zeta_N] coefficients are ints, got Fraction(1, 2)
 """
 from __future__ import annotations
 
 import dataclasses
 import itertools
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import InternalError
@@ -470,7 +474,7 @@ def poly_at_matrix(p: LaurentPoly, n: int) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic in Q(zeta_N)
+# Arithmetic in Z[zeta_N]
 
 
 def _phi_coeffs(n: int) -> tuple[int, ...]:
@@ -493,59 +497,49 @@ def _reduce_mod_phi(n: int, coeffs: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _normal(n: int, num: Sequence[int], den: int) -> CycNumber:
-    # num / den with den > 0, made canonical: gcd(den, *num) = 1.
-    if den != 1:
-        g = math.gcd(den, *num)
-        if g != 1:
-            num = [c // g for c in num]
-            den //= g
-    return CycNumber(n, tuple(num), den)
+def _checked_int(c: int) -> int:
+    if not isinstance(c, int):
+        raise TypeError(f"Z[zeta_N] coefficients are ints, got {c!r}")
+    return c
 
 
 @dataclasses.dataclass(frozen=True)
 class CycNumber:
     """
-    An element of Q(zeta_N), stored as integer numerators over one positive
-    denominator: (num[0] + num[1] zeta + ... + num[d-1] zeta^(d-1)) / den
-    with d = deg(Phi_N), normalised so that gcd(den, *num) = 1 (zero is
-    all zeros over 1).  Sums and products are integer convolutions reduced
-    modulo the monic Phi_N, so they stay in Z; the inverse is Cramer's rule
-    on the integer multiplication matrix, through det_exact.  coeffs reads
-    the same element as Fraction coefficients.
+    An element of Z[zeta_N], stored as the integer coefficients num[k] of
+    zeta^k for k < d = deg(Phi_N).  Sums and products are integer
+    convolutions reduced modulo the monic Phi_N, so every element has one
+    representation and equality is tuple equality.  There is no division:
+    the flat-point checks need only ring operations, and a rank over
+    Q(zeta_N) comes from fraction-free elimination.  Coefficients and
+    scalars must be ints; anything else raises TypeError.
 
-    >>> x = CycNumber.make(3, [Fraction(1, 2), 0, Fraction(1, 2)])
-    >>> x.num, x.den  # (1 + zeta^2) / 2 = -zeta / 2, as zeta^2 = -1 - zeta
-    ((0, -1), 2)
-    >>> x.coeffs
-    (Fraction(0, 1), Fraction(-1, 2))
+    >>> x = CycNumber.make(3, [1, 0, 1])
+    >>> x.num  # 1 + zeta^2 = -zeta, as zeta^2 = -1 - zeta
+    (0, -1)
     >>> z = CycNumber.zeta(4)
     >>> z * z == CycNumber.integer(4, -1)
     True
-    >>> (CycNumber.integer(5, 1) / (CycNumber.one(5) + CycNumber.zeta(5))) * (CycNumber.one(5) + CycNumber.zeta(5)) == CycNumber.one(5)
-    True
+    >>> (CycNumber.one(5) + CycNumber.zeta(5)) * 2
+    CycNumber(5: 2*z^0 + 2*z^1)
+    >>> CycNumber.integer(5, 0.5)
+    Traceback (most recent call last):
+        ...
+    TypeError: Z[zeta_N] coefficients are ints, got 0.5
     """
 
     n: int
     num: tuple[int, ...]
-    den: int
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients of 1, zeta, ..., zeta^(d-1) as Fractions."""
-        return tuple(Fraction(c, self.den) for c in self.num)
 
     @staticmethod
-    def make(n: int, coeffs: Sequence[Fraction | int]) -> CycNumber:
-        """The element sum coeffs[k] zeta^k, for coefficients of any length."""
-        den = math.lcm(*(c.denominator for c in coeffs))
-        num = [c.numerator * (den // c.denominator) for c in coeffs]
-        return _normal(n, _reduce_mod_phi(n, num), den)
+    def make(n: int, coeffs: Sequence[int]) -> CycNumber:
+        """The element sum coeffs[k] zeta^k, for integer coefficients of any length."""
+        return CycNumber(n, _reduce_mod_phi(n, [_checked_int(c) for c in coeffs]))
 
     @staticmethod
-    def integer(n: int, value: int | Fraction) -> CycNumber:
+    def integer(n: int, value: int) -> CycNumber:
         deg = len(_phi_coeffs(n)) - 1
-        return CycNumber(n, (value.numerator,) + (0,) * (deg - 1), value.denominator)
+        return CycNumber(n, (_checked_int(value),) + (0,) * (deg - 1))
 
     @staticmethod
     def zero(n: int) -> CycNumber:
@@ -559,7 +553,7 @@ class CycNumber:
     def zeta(n: int, k: int = 1) -> CycNumber:
         """zeta_N^k for any integer k."""
         k %= n
-        return CycNumber(n, _reduce_mod_phi(n, [0] * k + [1]), 1)
+        return CycNumber(n, _reduce_mod_phi(n, [0] * k + [1]))
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -570,21 +564,20 @@ class CycNumber:
 
     def __add__(self, other: CycNumber) -> CycNumber:
         self._check(other)
-        a, b = self.den, other.den
-        return _normal(self.n, [x * b + y * a for x, y in zip(self.num, other.num)], a * b)
+        return CycNumber(self.n, tuple(x + y for x, y in zip(self.num, other.num)))
 
     def __sub__(self, other: CycNumber) -> CycNumber:
         self._check(other)
-        a, b = self.den, other.den
-        return _normal(self.n, [x * b - y * a for x, y in zip(self.num, other.num)], a * b)
+        return CycNumber(self.n, tuple(x - y for x, y in zip(self.num, other.num)))
 
     def __neg__(self) -> CycNumber:
-        return CycNumber(self.n, tuple(-x for x in self.num), self.den)
+        return CycNumber(self.n, tuple(-x for x in self.num))
 
-    def __mul__(self, other: CycNumber | int | Fraction) -> CycNumber:
-        if isinstance(other, (int, Fraction)):
-            scaled = [x * other.numerator for x in self.num]
-            return _normal(self.n, scaled, self.den * other.denominator)
+    def __mul__(self, other: CycNumber | int) -> CycNumber:
+        if isinstance(other, int):
+            return CycNumber(self.n, tuple(x * other for x in self.num))
+        if not isinstance(other, CycNumber):
+            return NotImplemented
         self._check(other)
         b = other.num
         out = [0] * (2 * len(b) - 1)
@@ -592,47 +585,9 @@ class CycNumber:
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        return _normal(self.n, _reduce_mod_phi(self.n, out), self.den * other.den)
+        return CycNumber(self.n, _reduce_mod_phi(self.n, out))
 
     __rmul__ = __mul__
-
-    def inverse(self) -> CycNumber:
-        """
-        Field inverse by Cramer's rule.  With A = den * self, the
-        coefficients x of A^-1 solve M x = e_0, where column j of the
-        integer matrix M holds zeta^j * A.  Replacing column i of M by e_0
-        leaves the determinant (-1)^i det(M minus row 0 and column i), so
-        x_i is that over det(M), and self^-1 = den * x.  det(M) is the norm
-        of A; it is positive, since Q(zeta_N) has no real embedding once
-        deg(Phi_N) > 1, so the norm is a product of terms |sigma(A)|^2.
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        num, deg = self.num, len(self.num)
-        if not any(num[1:]):
-            # A rational, which covers every element when deg = 1 (Q itself).
-            c = num[0]
-            return CycNumber(self.n, (self.den if c > 0 else -self.den,) + num[1:], abs(c))
-        phi = _phi_coeffs(self.n)
-        cols = [list(num)]
-        for _ in range(deg - 1):
-            # times zeta: shift up, then fold the zeta^deg coefficient back
-            # in through Phi_N
-            prev = cols[-1]
-            top = prev[-1]
-            cols.append([-top * phi[0]] + [x - top * p for x, p in zip(prev, phi[1:deg])])
-        m = [list(row) for row in zip(*cols)]
-        norm = det_exact(m)
-        assert norm > 0
-        out = [
-            (-1) ** i * self.den * det_exact([row[:i] + row[i + 1 :] for row in m[1:]])
-            for i in range(deg)
-        ]
-        return _normal(self.n, out, norm)
-
-    def __truediv__(self, other: CycNumber) -> CycNumber:
-        self._check(other)
-        return self * other.inverse()
 
     def to_complex(self) -> complex:
         import cmath
@@ -641,10 +596,10 @@ class CycNumber:
         acc = 0j
         for c in reversed(self.num):
             acc = acc * z + c
-        return acc / self.den
+        return acc
 
     def __repr__(self):
-        terms = [f"{c}*z^{i}" for i, c in enumerate(self.coeffs) if c != 0]
+        terms = [f"{c}*z^{i}" for i, c in enumerate(self.num) if c != 0]
         return f"CycNumber({self.n}: {' + '.join(terms) if terms else '0'})"
 
 
@@ -653,4 +608,4 @@ def eval_at_zeta(p: LaurentPoly, n: int, k: int) -> CycNumber:
     raw = [0] * max(n, 1)
     for i, c in enumerate(p.coeffs):
         raw[(k * (p.min_deg + i)) % n] += c
-    return CycNumber(n, _reduce_mod_phi(n, raw), 1)
+    return CycNumber(n, _reduce_mod_phi(n, raw))

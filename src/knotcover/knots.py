@@ -88,6 +88,11 @@ class BraidWord:
                 raise BraidSyntaxError("0 is not a braid letter")
             if abs(v) >= strands:
                 raise IndexOutOfRange(f"letter {v} out of range for {strands} strands")
+        if strands > len(letters) + 1:
+            # An s-cycle needs at least s - 1 transpositions, so the closure
+            # has at least strands - len(letters) components; refusing here
+            # keeps a huge strand count from building its permutation.
+            raise NotAKnot(f"braid closure has at least {strands - len(letters)} components")
         self.strands = strands
         self.letters = letters
         components = sum(1 for _ in self._closure_cycles())

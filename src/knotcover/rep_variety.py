@@ -3,11 +3,12 @@ Flat-connection counting: the rigid 3-torus points and the torus-valued
 solution sets of Wirtinger presentations.
 
 The 3-torus side is a verification, not a formula lookup: the clock and shift
-matrices are built exactly over Q(zeta_N), their commutator is checked to be
+matrices are built exactly over Z[zeta_N], their commutator is checked to be
 the expected scalar, their determinants are det_exact of integral lifts to
 Z[t] reduced at zeta_N, and the centralizer of the pair is recomputed as the
-kernel of an explicit sparse linear system whose rank must come out to
-N^2 - 1.  Only then are the N central twists reported as flat points.
+kernel of an explicit sparse linear system whose rank over Q(zeta_N), taken
+by fraction-free elimination in Z[zeta_N] with no field inverse, must come
+out to N^2 - 1.  Only then are the N central twists reported as flat points.
 
 The Wirtinger side linearizes meridian relations on the (N-1)-dimensional
 torus acted on by the companion matrix of 1 + t + ... + t^(N-1), pins the
@@ -32,7 +33,6 @@ from .exact_linalg import (
     companion_tau,
     det_exact,
     eval_at_zeta,
-    mat_pow,
     poly_at_matrix,
     smith_normal_form,
 )
@@ -64,7 +64,7 @@ class TorusElement:
 
 def clock_shift(n: int) -> tuple[list[list[CycNumber]], list[list[CycNumber]]]:
     """
-    The exact clock and shift matrices over Q(zeta_N).  The shift carries a
+    The exact clock and shift matrices over Z[zeta_N].  The shift carries a
     corner entry of -1 for even N, which makes det(shift) = 1 for every N;
     the clock determinant is (-1)^(N-1) and cannot be repaired for even N by
     any scalar in the field.
@@ -84,26 +84,28 @@ def clock_shift(n: int) -> tuple[list[list[CycNumber]], list[list[CycNumber]]]:
 def _det_at_zeta(a: list[list[CycNumber]]) -> CycNumber:
     # det commutes with the ring map Z[t] -> Z[zeta_N], t -> zeta_N, so the
     # determinant of integral lifts to Z[t], reduced at zeta_N, is exact.
-    if any(x.den != 1 for row in a for x in row):
-        raise VerificationFailed("matrix entries are not in Z[zeta_N]")
     lift = [[LaurentPoly(0, x.num) for x in row] for row in a]
     return eval_at_zeta(det_exact(lift), a[0][0].n, 1)
 
 
 def _sparse_rank(rows: list[dict[int, CycNumber]]) -> int:
-    # Gaussian elimination keyed by smallest column index; pivot rows are
-    # normalized once, and each reduction strictly raises a row's min column.
+    # Fraction-free Gaussian elimination over Z[zeta_N], keyed by smallest
+    # column index; pivot rows are stored as they come.  A row whose leading
+    # column holds f against a stored pivot p becomes p * row - f * pivot:
+    # Z[zeta_N] is a domain, so scaling by p != 0 keeps the rank over
+    # Q(zeta_N), and each reduction strictly raises the row's min column.
     pivots: dict[int, dict[int, CycNumber]] = {}
     for row in rows:
         row = {c: v for c, v in row.items() if not v.is_zero()}
         while row:
             col = min(row)
-            if col not in pivots:
-                inv = row[col].inverse()
-                pivots[col] = {c: v * inv for c, v in row.items()}
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
                 break
-            factor = row.pop(col)
-            for c, v in pivots[col].items():
+            p, factor = pivot[col], row.pop(col)
+            row = {c: p * v for c, v in row.items()}
+            for c, v in pivot.items():
                 if c == col:
                     continue
                 acc = row.get(c)
@@ -121,11 +123,12 @@ def verify_t3_points(n: int) -> int:
     pair up to the scalar zeta, and return the number N of central-twist
     flat points.  Checks performed:
 
-    * clock * shift = zeta * (shift * clock), entrywise in Q(zeta_N);
+    * clock * shift = zeta * (shift * clock), entrywise in Z[zeta_N];
     * det(shift) = 1, det(clock) = (-1)^(N-1), each taken as det_exact of
       the integral lifts to Z[t] and reduced at zeta_N by eval_at_zeta;
     * every central twist zeta^k I has determinant zeta^(kN) = 1;
-    * the joint centralizer has dimension exactly 1 (rank N^2 - 1).
+    * the joint centralizer has dimension exactly 1: the fraction-free rank
+      over Q(zeta_N) of its linear system is N^2 - 1.
 
     >>> verify_t3_points(3)
     3
@@ -289,7 +292,10 @@ def wirtinger_torus_matrix(pres: WirtingerPresentation, n: int) -> list[list[int
         raise BadRank(f"need n >= 2, got {n}")
     size = n - 1
     tau = companion_tau(n)
-    tau_inv = mat_pow(tau, n - 1)
+    # tau^-1 is multiplication by t^-1: t^k -> t^(k-1) and
+    # 1 -> t^(n-1) = -(1 + t + ... + t^(n-2)), which is tau with its rows
+    # and columns both reversed.
+    tau_inv = [row[::-1] for row in tau[::-1]]
     gens = [g for g in range(pres.n_generators) if g != pres.base_meridian]
     col_of = {g: i * size for i, g in enumerate(gens)}
     cols = size * len(gens)

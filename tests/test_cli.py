@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from knotcover import acceptance
+from knotcover import acceptance, knots
 from knotcover.cli import main
 from knotcover.invariants import cyclic_product_magnitude
 from knotcover.laurent_poly import LaurentPoly
@@ -215,6 +215,22 @@ def test_link_closure_is_usage_error(capsys):
     code, _, err = run(capsys, "alexander", "strands=2; 1 1")
     assert code == 2
     assert "2-component link" in err
+
+
+def test_huge_strand_count_is_usage_error(monkeypatch, capsys):
+    # The table knots still build their short permutations; only a long one
+    # would mean the huge strand count reached the closure check.
+    real = knots.BraidWord.permutation
+
+    def short_permutation(self):
+        if self.strands > 1000:
+            raise AssertionError("a long closure permutation was built")
+        return real(self)
+
+    monkeypatch.setattr(knots.BraidWord, "permutation", short_permutation)
+    code, _, err = run(capsys, "alexander", "strands=1000000000; 1")
+    assert code == 2
+    assert err.startswith("usage error:") and "at least 999999999 components" in err
 
 
 def test_table_override(tmp_path, capsys):

@@ -87,6 +87,26 @@ def test_constructor_checks_closure():
     assert BraidWord(1, ()).strands == 1
 
 
+def _no_permutation(self):
+    raise AssertionError("the closure permutation was built")
+
+
+def test_huge_strand_count_is_refused_before_the_permutation(monkeypatch):
+    # More than len(letters) + 1 strands close to at least two components;
+    # the refusal must not build a permutation as long as the strand count.
+    monkeypatch.setattr(BraidWord, "permutation", _no_permutation)
+    with pytest.raises(NotAKnot, match="at least 999999999 components"):
+        parse_braid("strands=1000000000; 1")
+    with pytest.raises(NotAKnot, match="at least 2 components"):
+        BraidWord(5, (1, -2, 3))
+
+
+def test_strand_count_at_the_bound_still_checks_the_closure():
+    assert BraidWord(4, (1, -2, 3)).strands == 4
+    with pytest.raises(NotAKnot, match="3-component link"):
+        BraidWord(4, (1, -2, 1))
+
+
 def test_permutation_and_writhe():
     b = parse_braid("strands=3; 1 -2")
     assert b.writhe() == 0

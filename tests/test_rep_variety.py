@@ -9,9 +9,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from knotcover import rep_variety
 from knotcover.errors import VerificationFailed
-from knotcover.exact_linalg import CycNumber, poly_at_matrix, smith_normal_form
-from knotcover.invariants import q_relative
-from knotcover.knots import KnotTable, alexander_checked, braid_closure_wirtinger
+from knotcover.exact_linalg import (
+    CycNumber,
+    companion_tau,
+    mat_pow,
+    poly_at_matrix,
+    smith_normal_form,
+)
+from knotcover.invariants import (
+    branched_cover_homology,
+    cyclic_product_magnitude,
+    q_relative,
+)
+from knotcover.knots import BraidWord, KnotTable, alexander_checked, braid_closure_wirtinger
 from knotcover.laurent_poly import LaurentPoly
 from knotcover.rep_variety import (
     CapExceeded,
@@ -24,6 +34,7 @@ from knotcover.rep_variety import (
     wirtinger_torus_count,
     wirtinger_torus_matrix,
 )
+from test_knots import braid_words
 
 TREFOIL = LaurentPoly(-1, (1, -1, 1))
 FIG8 = LaurentPoly(-1, (-1, 3, -1))
@@ -61,7 +72,7 @@ def _det(m):
     return total
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 17))
 def test_verify_t3_points_counts_n(n):
     assert verify_t3_points(n) == n
 
@@ -218,16 +229,92 @@ def test_kernel_solutions_reject_a_corrupted_transform(monkeypatch):
 
 
 def test_det_at_zeta_rejects_non_integral_entries():
-    half = CycNumber.integer(3, Fraction(1, 2))
-    one, zero = CycNumber.one(3), CycNumber.zero(3)
-    with pytest.raises(VerificationFailed, match="not in Z"):
-        rep_variety._det_at_zeta([[one, zero], [zero, half]])
-    assert rep_variety._det_at_zeta([[one, zero], [zero, half * 2]]) == one
+    # A half-integral entry cannot even be built: CycNumber is Z[zeta_N].
+    with pytest.raises(TypeError):
+        CycNumber.integer(3, Fraction(1, 2))
+    one, zero, two = CycNumber.one(3), CycNumber.zero(3), CycNumber.integer(3, 2)
+    assert rep_variety._det_at_zeta([[one, zero], [zero, two]]) == two
 
 
 def test_wirtinger_matrix_trefoil_frozen():
     pres = corpus_pres("3_1")
     assert wirtinger_torus_matrix(pres, 2) == [[1, 1], [-2, 1], [1, -2]]
+
+
+def ref_wirtinger_torus_matrix(pres, n):
+    """wirtinger_torus_matrix as it was with tau^-1 = mat_pow(tau, n - 1)."""
+    size = n - 1
+    tau = companion_tau(n)
+    tau_inv = mat_pow(tau, n - 1)
+    gens = [g for g in range(pres.n_generators) if g != pres.base_meridian]
+    col_of = {g: i * size for i, g in enumerate(gens)}
+    cols = size * len(gens)
+    out = []
+    for k, i, j, s in pres.relations:
+        block = [[0] * cols for _ in range(size)]
+        tw = tau if s > 0 else tau_inv
+
+        def add(gen, coef, scale):
+            if gen == pres.base_meridian:
+                return
+            base_col = col_of[gen]
+            for a in range(size):
+                if coef is None:
+                    block[a][base_col + a] += scale
+                else:
+                    for b in range(size):
+                        block[a][base_col + b] += scale * coef[a][b]
+
+        add(k, None, 1)
+        add(i, tw, -1)
+        add(j, None, -1)
+        add(j, tw, 1)
+        out.extend(block)
+    return out
+
+
+@pytest.mark.parametrize("name", ("unknot", "3_1", "4_1", "5_1", "5_2", "6_1"))
+def test_wirtinger_matrix_matches_mat_pow_reference_on_table(name):
+    pres = corpus_pres(name)
+    for n in range(2, 9):
+        assert wirtinger_torus_matrix(pres, n) == ref_wirtinger_torus_matrix(pres, n)
+
+
+@given(braid_words(), st.integers(min_value=2, max_value=8))
+@settings(max_examples=60, deadline=None)
+def test_wirtinger_matrix_matches_mat_pow_reference_on_random_knots(nl, n):
+    pres = braid_closure_wirtinger(BraidWord(*nl))
+    assert wirtinger_torus_matrix(pres, n) == ref_wirtinger_torus_matrix(pres, n)
+
+
+@given(braid_words(max_strands=4, max_letters=10), st.integers(min_value=2, max_value=12))
+@settings(max_examples=150, deadline=None)
+@example((2, [1, 1, 1]), 6)
+def test_count_routes_agree_on_random_knots(nl, n):
+    # Either every route gives the same finite count, or every route
+    # reports degeneracy.
+    braid = BraidWord(*nl)
+    delta = alexander_checked(braid)
+    pres = braid_closure_wirtinger(braid)
+    cap = 20_000
+    q = q_relative(delta, n)
+    magnitude = cyclic_product_magnitude(delta, n)
+    order = branched_cover_homology(delta, n).order()
+    if q.degenerate:
+        assert magnitude == 0 and order is None
+        with pytest.raises(Degenerate):
+            kernel_torus_solutions(delta, n, cap)
+        with pytest.raises(Degenerate):
+            wirtinger_torus_count(pres, n)
+        return
+    count = abs(q.value)
+    assert magnitude == order == count
+    assert wirtinger_torus_count(pres, n) == count
+    if count <= cap:
+        assert len(kernel_torus_solutions(delta, n, cap)) == count
+    else:
+        with pytest.raises(CapExceeded):
+            kernel_torus_solutions(delta, n, cap)
 
 
 def test_wirtinger_matrix_shape():
