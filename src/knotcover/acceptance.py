@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import invariants, knots, mahler, rep_variety, series
 from .errors import VerificationFailed
-from .exact_linalg import det_exact, mat_mul, smith_normal_form
+from .exact_linalg import AbelianGroup, cokernel, det_exact, mat_mul, smith_normal_form
 from .laurent_poly import LaurentPoly
 
 UNKNOT_DELTA = LaurentPoly(0, (1,))
@@ -41,37 +41,62 @@ def _budget(start: float, limit: float) -> float:
 
 
 def criterion_alexander_cross_method() -> str:
-    """Burau and Fox routes agree on the corpus; delta(1) = 1, symmetric."""
+    """Burau, Fox and Seifert routes agree on the corpus; delta(1) = 1, symmetric."""
     start = time.perf_counter()
     count = 0
     for name, braid in _corpus():
         via_burau = knots.alexander_burau(braid)
         via_fox = knots.alexander_fox(knots.braid_closure_wirtinger(braid))
+        via_seifert = knots.alexander_seifert(braid)
         _require(via_burau == via_fox, f"Burau and Fox routes disagree on {name}")
+        _require(via_burau == via_seifert, f"Burau and Seifert routes disagree on {name}")
         _require(via_burau.eval_rational(Fraction(1)) == 1, f"delta(1) != 1 for {name}")
         _require(via_burau.involute() == via_burau, f"delta not symmetric for {name}")
         count += 1
     elapsed = _budget(start, 1.0)
-    return f"{count} knots, both routes equal, in {elapsed:.2f}s"
+    return f"{count} knots, all three routes equal, in {elapsed:.2f}s"
+
+
+def _wirtinger_group(pres: knots.WirtingerPresentation, n: int) -> AbelianGroup:
+    # The pinned Wirtinger system presents H_1 of the n-fold branched cover:
+    # its columns are the generators and its rows the relations.
+    matrix = rep_variety.wirtinger_torus_matrix(pres, n)
+    return cokernel([list(col) for col in zip(*matrix)])
 
 
 def criterion_three_route_agreement() -> str:
-    """Resultant, determinant, and float routes agree for 2 <= N <= 30."""
+    """Resultant, determinant, and float routes agree for 2 <= N <= 30, and
+    both cover-homology routes have order |q|; for N <= 8 the Seifert group
+    equals the group the Wirtinger presentation gives."""
     start = time.perf_counter()
     spot = {("3_1", 2): 3, ("4_1", 2): 5, ("4_1", 3): 16}
     checked = 0
     for name, braid in _corpus():
         delta = knots.alexander_checked(braid)
+        pres = knots.braid_closure_wirtinger(braid)
         for n in range(2, 31):
             rel = invariants.q_relative(delta, n)
-            group = invariants.branched_cover_homology(delta, n)
             if rel.degenerate:
                 _require(rel.value == 0, f"degenerate {name} N={n} with value {rel.value}")
-                _require(group.free_rank >= 1, f"degenerate {name} N={n} has finite homology")
-            else:
+            seifert = invariants.cover_homology(braid, n)
+            for route, group in (
+                ("companion", invariants.branched_cover_homology(delta, n)),
+                ("Seifert", seifert),
+            ):
+                if rel.degenerate:
+                    _require(
+                        group.free_rank >= 1,
+                        f"degenerate {name} N={n} has finite {route} homology",
+                    )
+                else:
+                    _require(
+                        group.free_rank == 0 and group.order() == rel.value,
+                        f"{route} homology order != product magnitude for {name} N={n}",
+                    )
+            if n <= 8:
                 _require(
-                    group.free_rank == 0 and group.order() == rel.value,
-                    f"homology order != product magnitude for {name} N={n}",
+                    seifert == _wirtinger_group(pres, n),
+                    f"Seifert and Wirtinger cover homology differ for {name} N={n}",
                 )
             want = spot.get((name, n))
             if want is not None:
@@ -83,12 +108,15 @@ def criterion_three_route_agreement() -> str:
 
 def criterion_degenerate_trefoil() -> str:
     """Trefoil products vanish at N in {6, 12, 18} with infinite homology."""
+    trefoil = knots.KnotTable.default().get("3_1")
     for n in (6, 12, 18):
         rel = invariants.q_relative(TREFOIL_DELTA, n)
         _require(rel.degenerate and rel.value == 0, f"trefoil N={n} not degenerate")
         group = invariants.branched_cover_homology(TREFOIL_DELTA, n)
         _require(group.free_rank >= 1, f"trefoil N={n} cover homology is finite")
-    return "value 0 and free rank >= 1 at N = 6, 12, 18"
+        group = invariants.cover_homology(trefoil, n)
+        _require(group.free_rank >= 1, f"trefoil N={n} Seifert cover homology is finite")
+    return "value 0 and free rank >= 1 by both homology routes at N = 6, 12, 18"
 
 
 def criterion_k3_bookkeeping() -> str:

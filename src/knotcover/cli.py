@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import acceptance, invariants, knots, mahler, rep_variety, series
+from .errors import CrossCheckMismatch
 from .exact_linalg import AbelianGroup
 
 SCHEMA = 1
@@ -86,7 +87,7 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
     name, braid = _resolve(args)
     delta = knots.alexander_checked(braid)
     rel = invariants.q_relative(delta, args.n)
-    group = invariants.branched_cover_homology(delta, args.n)
+    group = invariants.cover_homology(braid, args.n)
     agree = (group.free_rank >= 1) if rel.degenerate else (group.order() == rel.value)
     if args.json:
         _emit(
@@ -117,7 +118,12 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
 def _cmd_homology(args: argparse.Namespace) -> int:
     name, braid = _resolve(args)
     delta = knots.alexander_checked(braid)
-    group = invariants.branched_cover_homology(delta, args.n)
+    group = invariants.cover_homology(braid, args.n)
+    magnitude = invariants.cyclic_product_magnitude(delta, args.n)
+    if not (group.free_rank >= 1 if magnitude == 0 else group.order() == magnitude):
+        raise CrossCheckMismatch(
+            f"cover homology {group.to_text()} but the root-of-unity product has magnitude {magnitude}"
+        )
     if args.json:
         _emit({"schema": SCHEMA, "knot": name, "N": args.n, **_group_json(group)})
     else:
@@ -133,7 +139,7 @@ def _cmd_repvar(args: argparse.Namespace) -> int:
     ladder = rep_variety.chern_simons_ladder(args.n)
     kernel_count = len(rep_variety.kernel_torus_solutions(delta, args.n, args.cap))
     wirt = rep_variety.wirtinger_torus_count(pres, args.n)
-    group = invariants.branched_cover_homology(delta, args.n)
+    group = invariants.cover_homology(braid, args.n)
     if args.json:
         _emit(
             {
@@ -360,8 +366,12 @@ _DISPATCH = {
 }
 
 
+# Parsing leaves no state in the parser, so one serves every call to main.
+_PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _DISPATCH[args.verb](args)
     except _USAGE_ERRORS as exc:

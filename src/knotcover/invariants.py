@@ -7,9 +7,16 @@ the nontrivial N-th roots of unity, computed three ways on every call (a
 resultant, an integer determinant at a companion matrix, and a floating-point
 product) with any disagreement raised as an error.  For odd N the product is
 a nonnegative integer with a well-defined sign; for even N only the magnitude
-is reported.  The same companion matrix, fed through the Smith normal form,
-yields the first homology of the N-fold cyclic branched cover, whose order
-gives the magnitude a second, structural meaning.
+is reported.
+
+The first homology of the N-fold cyclic branched cover, whose order gives
+the magnitude a second, structural meaning, comes from the Seifert matrix
+of the braid (cover_homology): a Smith normal form of size 2g, whatever N
+is.  The cokernel of delta(tau) at the same companion matrix
+(branched_cover_homology) has the same order, but it is the cover's
+homology only when the Alexander module is cyclic, as it is for every
+2-bridge and torus knot; for 8_18 at N = 2 it gives Z/45 where the cover
+has Z/3 + Z/15.
 """
 from __future__ import annotations
 
@@ -25,10 +32,13 @@ from .exact_linalg import (
     BadRank,
     cokernel,
     det_exact,
+    mat_mul,
     mat_pow,
     poly_at_matrix,
     resultant,
+    smith_normal_form,
 )
+from .knots import BraidWord, seifert_matrix
 from .laurent_poly import LaurentPoly
 
 FLOAT_REL_TOL = 1e-6
@@ -201,9 +211,14 @@ def q_relative(delta: LaurentPoly, n: int) -> RelativeInvariant:
 
 def branched_cover_homology(delta: LaurentPoly, n: int) -> AbelianGroup:
     """
-    First homology of the n-fold cyclic branched cover: the cokernel of delta
-    evaluated at the companion matrix of 1 + t + ... + t^(n-1).  Its order
-    (None when infinite) equals the magnitude of q_relative.
+    The cokernel of delta evaluated at the companion matrix of
+    1 + t + ... + t^(n-1).  Its order (None when infinite) equals the
+    magnitude of q_relative.  It is the first homology of the n-fold cyclic
+    branched cover only when the Alexander module is cyclic, as for every
+    2-bridge and torus knot; otherwise only the order and the free rank's
+    vanishing agree with it.  For 8_18 (the closure of (1 -2)^4) at n = 2
+    it is Z/45, where the cover has Z/3 + Z/15; cover_homology gives the
+    cover's group for every knot.
 
     >>> branched_cover_homology(LaurentPoly(-1, (-1, 3, -1)), 3).to_text()
     'Z/4 + Z/4'
@@ -211,6 +226,40 @@ def branched_cover_homology(delta: LaurentPoly, n: int) -> AbelianGroup:
     if n < 2:
         raise BadRank(f"need n >= 2, got {n}")
     return cokernel(poly_at_matrix(delta, n))
+
+
+def cover_homology(braid: BraidWord, n: int) -> AbelianGroup:
+    """
+    First homology of the n-fold cyclic branched cover of the braid's
+    closure, coker(G^n - (G - I)^n) with G = (V^T - V)^-1 V^T for the
+    Seifert matrix V (knots.seifert_matrix; Rolfsen, Knots and Links,
+    ch. 8).  Every matrix is 2g x 2g, whatever n is.  V^T - V is
+    unimodular for a knot, which its Smith normal form checks: with
+    u (V^T - V) v = I, the inverse is v u.  A braid with one crossing fewer
+    than strands closes to the unknot, with 2g = 0 and the trivial group.
+
+    >>> cover_homology(BraidWord(3, (1, -2, 1, -2, 1, -2, 1, -2)), 2).to_text()
+    'Z/3 + Z/15'
+    >>> cover_homology(BraidWord(2, (1, 1, 1)), 6).to_text()
+    'Z^2'
+    """
+    if n < 2:
+        raise BadRank(f"need n >= 2, got {n}")
+    v = seifert_matrix(braid)
+    if not v:
+        return AbelianGroup(invariant_factors=(), free_rank=0)
+    vt = [list(col) for col in zip(*v)]
+    form = smith_normal_form([[x - y for x, y in zip(r, s)] for r, s in zip(vt, v)])
+    if any(d != 1 for d in form.invariant_factors):
+        raise InternalError(f"V^T - V has invariant factors {form.invariant_factors}, not all 1")
+    gamma = mat_mul(mat_mul(form.v, form.u), vt)
+    shifted = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(gamma)]
+    return cokernel(
+        [
+            [x - y for x, y in zip(r, s)]
+            for r, s in zip(mat_pow(gamma, n), mat_pow(shifted, n))
+        ]
+    )
 
 
 def cyclic_product_magnitude(delta: LaurentPoly, n: int) -> int:

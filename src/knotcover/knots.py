@@ -26,6 +26,12 @@ but the determinant routine.
 Both are normalized to the symmetric representative with value 1 at t = 1,
 and agreement of the two routes is the standard cross-check on every knot
 this package touches.
+
+A third route, det(V^T - t V) for the Seifert matrix V of the closed braid
+(seifert_matrix, alexander_seifert), is compared with the other two by the
+tests and the selftest but not on every call: its real use is the
+cyclic branched-cover homology in invariants.cover_homology, which needs V
+and nothing of size N.
 """
 from __future__ import annotations
 
@@ -341,6 +347,84 @@ def alexander_fox(pres: WirtingerPresentation) -> LaurentPoly:
     det = det_exact(rows) if rows else LaurentPoly.one()
     if det.is_zero():
         raise DegenerateMatrix("Fox matrix determinant vanished")
+    return symmetrize_alexander(det)
+
+
+def seifert_matrix(braid: BraidWord) -> list[list[int]]:
+    """
+    The Seifert matrix of the closed braid, from Seifert's algorithm on the
+    braid diagram: one disk per strand and one half-twisted band per
+    crossing (J. Collins, "An algorithm for computing the Seifert matrix of
+    a link from a braid representation").  H_1 of that surface has one loop
+    per pair of consecutive crossings in the same braid column, so V is
+    2g x 2g with 2g = crossings - strands + 1 for a knot.  Loops are
+    ordered column by column, and in braid order within a column.
+
+    The checks that can be made from outside (det(V^T - t V) is the
+    Alexander polynomial, V^T - V is unimodular, the cover homology matches
+    the Wirtinger presentation) fix only the diagonal: sixteen choices of
+    the off-diagonal orientations, V <-> -V^T among them, pass them all.
+    This function pins the following one.  Positions are letter indices,
+    and a positive letter has sign e = +1:
+
+    * V[x][x] = e when both crossings of loop x have sign e, 0 when they
+      differ;
+    * consecutive loops x, y of one column share a crossing: V[x][y] = -1
+      if it is positive, V[y][x] = +1 if it is negative;
+    * loop x of column i spanning positions p1 < p2 and loop y of column
+      i + 1 spanning q1 < q2: V[x][y] = +1 if p1 < q1 < p2 < q2, and -1 if
+      q1 < p1 < q2 < p2; nested or disjoint spans give 0.
+
+    >>> seifert_matrix(BraidWord(2, (1, 1, 1)))
+    [[1, -1], [0, 1]]
+    >>> seifert_matrix(BraidWord(3, (1, -2, 1, -2)))
+    [[1, 1], [0, -1]]
+    """
+    columns: dict[int, list[int]] = {}
+    for pos, v in enumerate(braid.letters):
+        columns.setdefault(abs(v), []).append(pos)
+    loops = [
+        (col, p1, p2)
+        for col in sorted(columns)
+        for p1, p2 in zip(columns[col], columns[col][1:])
+    ]
+    sign = [1 if v > 0 else -1 for v in braid.letters]
+    size = len(loops)
+    out = [[0] * size for _ in range(size)]
+    for x, (col, p1, p2) in enumerate(loops):
+        if sign[p1] == sign[p2]:
+            out[x][x] = sign[p1]
+        if x + 1 < size and loops[x + 1][0] == col:
+            if sign[p2] > 0:
+                out[x][x + 1] = -1
+            else:
+                out[x + 1][x] = 1
+        for y, (other, q1, q2) in enumerate(loops):
+            if other != col + 1:
+                continue
+            if p1 < q1 < p2 < q2:
+                out[x][y] = 1
+            elif q1 < p1 < q2 < p2:
+                out[x][y] = -1
+    return out
+
+
+def alexander_seifert(braid: BraidWord) -> LaurentPoly:
+    """
+    Alexander polynomial as det(V^T - t V) for the Seifert matrix V.
+
+    >>> alexander_seifert(BraidWord(3, (1, -2, 1, -2))).to_text()
+    '-1*t^-1 + 3 - 1*t^1'
+    >>> alexander_seifert(parse_braid("strands=1;")).to_text()
+    '1'
+    """
+    v = seifert_matrix(braid)
+    if not v:
+        return LaurentPoly.one()
+    size = len(v)
+    det = det_exact(
+        [[LaurentPoly(0, (v[j][i], -v[i][j])) for j in range(size)] for i in range(size)]
+    )
     return symmetrize_alexander(det)
 
 

@@ -1,15 +1,21 @@
 """End-to-end command-line behavior: output shapes and exit codes."""
+import argparse
 import json
 import math
 
 import pytest
 
-from knotcover import acceptance, knots
+from knotcover import acceptance, cli, exact_linalg, invariants, knots
 from knotcover.cli import main
+from knotcover.exact_linalg import AbelianGroup
 from knotcover.invariants import cyclic_product_magnitude
 from knotcover.laurent_poly import LaurentPoly
 
 FIG8 = LaurentPoly(-1, (-1, 3, -1))
+# 8_18 and the granny knot 3_1 # 3_1: their Alexander modules are not
+# cyclic, so coker delta(tau) has the right order but the wrong structure.
+KNOT_8_18 = "strands=3; 1 -2 1 -2 1 -2 1 -2"
+GRANNY = "strands=3; 1 1 1 2 2 2"
 
 
 def run(capsys, *argv):
@@ -90,6 +96,92 @@ def test_homology_degenerate_reports_free_rank(capsys):
     obj = json.loads(out)
     assert code == 0
     assert obj["free_rank"] >= 1
+
+
+@pytest.mark.parametrize(
+    "knot, n, text, factors, free",
+    [
+        (KNOT_8_18, 2, "Z/3 + Z/15", ["3", "15"], 0),
+        (GRANNY, 2, "Z/3 + Z/3", ["3", "3"], 0),
+        (GRANNY, 6, "Z^4", [], 4),
+    ],
+)
+def test_non_cyclic_alexander_module_groups(capsys, knot, n, text, factors, free):
+    code, out, _ = run(capsys, "homology", knot, "--n", str(n))
+    assert code == 0 and out == text + "\n"
+    code, out, _ = run(capsys, "homology", knot, "--n", str(n), "--json")
+    obj = json.loads(out)
+    assert code == 0
+    assert (obj["invariant_factors"], obj["free_rank"], obj["text"]) == (factors, free, text)
+    code, out, _ = run(capsys, "invariant", knot, "--n", str(n), "--json")
+    obj = json.loads(out)
+    assert code == 0
+    assert (obj["homology"], obj["free_rank"]) == (factors, free)
+    assert obj["method_agreement"] is True
+    if free == 0:
+        code, out, _ = run(capsys, "repvar", knot, "--n", str(n), "--json")
+        assert code == 0
+        assert json.loads(out)["group"] == text
+
+
+@pytest.mark.parametrize(
+    "n, wrong",
+    [
+        (2, AbelianGroup((5,), 0)),  # order 5 against |q| = 3
+        (2, AbelianGroup((3,), 1)),  # infinite where the product is 3
+        (6, AbelianGroup((2,), 0)),  # finite where the product vanishes
+    ],
+)
+def test_homology_order_is_cross_checked(monkeypatch, capsys, n, wrong):
+    monkeypatch.setattr(invariants, "cover_homology", lambda braid, n: wrong)
+    code, out, err = run(capsys, "homology", "3_1", "--n", str(n))
+    assert code == 1 and out == ""
+    assert err.startswith("error: CrossCheckMismatch:")
+
+
+def test_invariant_factors_only_2g_square_matrices(monkeypatch, capsys):
+    # 6_1 is the closure of a 7-crossing braid on 4 strands, so 2g = 4; at
+    # N = 120 the companion route would factor a 119 x 119 matrix.
+    shapes = []
+    real = exact_linalg.smith_normal_form
+
+    def recording(a):
+        form = real(a)
+        shapes.append((form.rows, form.cols))
+        return form
+
+    monkeypatch.setattr(exact_linalg, "smith_normal_form", recording)
+    monkeypatch.setattr(invariants, "smith_normal_form", recording)
+    code, out, _ = run(capsys, "invariant", "6_1", "--n", "120", "--json")
+    assert code == 0 and json.loads(out)["method_agreement"] is True
+    assert shapes and all(rows <= 4 and cols <= 4 for rows, cols in shapes)
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    expected = [
+        (["alexander", "4_1"], 0, "-1*t^-1 + 3 - 1*t^1\n"),
+        (["homology", "4_1", "--n", "3"], 0, "Z/4 + Z/4\n"),
+        (["invariant", "3_1"], 2, ""),
+        (["dim", "--n", "4", "--k3"], 0, "kappa = 15/4\ndim = 0\n"),
+        (["homology", "3_1", "--n", "2"], 0, "Z/3\n"),
+        (["alexander", "4_1"], 0, "-1*t^-1 + 3 - 1*t^1\n"),
+    ]
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    for argv, want_code, want_out in expected:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, capsys.readouterr().out) == (want_code, want_out)
+    assert built == []
 
 
 def test_repvar_json(capsys):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from knotcover import invariants
-from knotcover.exact_linalg import BadRank, det_exact, mat_pow
+from knotcover.errors import InternalError
+from knotcover.exact_linalg import BadRank, cokernel, det_exact, mat_pow
 from knotcover.invariants import (
     K3_TOPOLOGY,
     DegenerateProduct,
@@ -13,6 +14,7 @@ from knotcover.invariants import (
     NonIntegralDimension,
     ParityViolation,
     branched_cover_homology,
+    cover_homology,
     cyclic_product_magnitude,
     cyclic_product_magnitudes,
     dimension_zero_kappa,
@@ -28,9 +30,18 @@ from knotcover.invariants import (
     sign_dual_compare,
     sign_lift_compare,
 )
-from knotcover.knots import KnotTable, alexander_checked
+from knotcover.knots import (
+    BraidWord,
+    KnotTable,
+    alexander_checked,
+    braid_closure_wirtinger,
+    parse_braid,
+)
 from knotcover.laurent_poly import LaurentPoly
 from knotcover.mahler import asymptotic_table
+from knotcover.rep_variety import wirtinger_torus_matrix
+
+from test_knots import braid_words
 
 # |q_N| for the bundled knots at N = 2..12, frozen from the three-route
 # computation and confirmed against closed forms where one exists:
@@ -149,6 +160,69 @@ def test_branched_cover_homology_landmarks():
     assert branched_cover_homology(UNKNOT, 5).is_trivial()
     degenerate = branched_cover_homology(TREFOIL, 6)
     assert degenerate.free_rank >= 1
+
+
+def wirtinger_group(braid, n):
+    # The pinned Wirtinger system's columns are the generators and its rows
+    # the relations, so the group it presents is the cokernel of the transpose.
+    matrix = wirtinger_torus_matrix(braid_closure_wirtinger(braid), n)
+    return cokernel([list(col) for col in zip(*matrix)])
+
+
+@pytest.mark.parametrize(
+    "text, n, expected",
+    [
+        # 8_18: the Alexander module is not cyclic, and coker delta(tau) is Z/45.
+        ("strands=3; 1 -2 1 -2 1 -2 1 -2", 2, "Z/3 + Z/15"),
+        # The granny knot 3_1 # 3_1: coker delta(tau) gives Z/9 and
+        # Z^2 + Z/2 + Z/6.
+        ("strands=3; 1 1 1 2 2 2", 2, "Z/3 + Z/3"),
+        ("strands=3; 1 1 1 2 2 2", 6, "Z^4"),
+        ("1 1 1", 6, "Z^2"),
+        ("1 -2 1 -2", 3, "Z/4 + Z/4"),
+        ("strands=1;", 5, "0"),
+        ("strands=2; 1", 7, "0"),
+    ],
+)
+def test_cover_homology_landmarks(text, n, expected):
+    braid = parse_braid(text)
+    assert cover_homology(braid, n).to_text() == expected
+    assert wirtinger_group(braid, n).to_text() == expected
+
+
+def test_cover_homology_rejects_bad_rank():
+    with pytest.raises(BadRank):
+        cover_homology(parse_braid("1 1 1"), 1)
+
+
+def test_cover_homology_checks_unimodularity(monkeypatch):
+    # A symmetric V has V^T - V = 0, which no knot's Seifert matrix has.
+    monkeypatch.setattr(invariants, "seifert_matrix", lambda braid: [[1, 0], [0, 1]])
+    with pytest.raises(InternalError):
+        cover_homology(parse_braid("1 1 1"), 2)
+
+
+@pytest.mark.parametrize("name", sorted(Q_ORACLE) + ["unknot"])
+def test_cover_homology_equals_companion_group_on_table(name):
+    # Every table knot has a cyclic Alexander module, so the two routes give
+    # the same group there.
+    braid = KnotTable.default().get(name)
+    delta = alexander_checked(braid)
+    for n in range(2, 31):
+        assert cover_homology(braid, n) == branched_cover_homology(delta, n)
+
+
+@given(braid_words(), st.integers(min_value=2, max_value=6))
+@settings(max_examples=150, deadline=None)
+def test_cover_homology_matches_wirtinger_presentation(nl, n):
+    braid = BraidWord(*nl)
+    group = cover_homology(braid, n)
+    assert group == wirtinger_group(braid, n)
+    q = q_relative(alexander_checked(braid), n)
+    if q.degenerate:
+        assert group.free_rank >= 1
+    else:
+        assert group.order() == q.value
 
 
 @pytest.mark.parametrize("name", sorted(Q_ORACLE))

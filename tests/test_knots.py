@@ -13,8 +13,10 @@ from knotcover.knots import (
     alexander_burau,
     alexander_checked,
     alexander_fox,
+    alexander_seifert,
     braid_closure_wirtinger,
     parse_braid,
+    seifert_matrix,
 )
 from knotcover.laurent_poly import LaurentPoly, symmetrize_alexander
 
@@ -136,6 +138,43 @@ def test_corpus_alexander_polynomials(name, expected):
 def test_two_routes_agree_on_corpus(name):
     braid = KnotTable.default().get(name)
     assert alexander_burau(braid) == alexander_fox(braid_closure_wirtinger(braid))
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # 3_1: loops (0, 1) and (1, 2) of column 1 share the positive crossing 1.
+        ("1 1 1", [[1, -1], [0, 1]]),
+        # The mirror trefoil: the shared crossing is negative.
+        ("-1 -1 -1", [[-1, 0], [1, -1]]),
+        # 4_1: loop (0, 2) of column 1 and (1, 3) of column 2 interleave as
+        # p1 < q1 < p2 < q2.
+        ("1 -2 1 -2", [[1, 1], [0, -1]]),
+        # A conjugate of 4_1: loop (1, 3) of column 1 and (0, 2) of column 2
+        # interleave as q1 < p1 < q2 < p2.
+        ("2 -1 2 -1", [[-1, -1], [0, 1]]),
+        # 6_1: column 1 has loops (0, 1) and (1, 3), the second of mixed
+        # signs; (1, 3) against column 2's (2, 5), and (2, 5) against
+        # column 3's (4, 6), interleave as p1 < q1 < p2 < q2.
+        (
+            "1 1 2 -1 -3 2 -3",
+            [[1, -1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1], [0, 0, 0, -1]],
+        ),
+        ("strands=1;", []),
+    ],
+)
+def test_seifert_matrix_by_hand(text, expected):
+    assert seifert_matrix(parse_braid(text)) == expected
+
+
+@given(braid_words(max_strands=5, max_letters=12))
+@settings(max_examples=100, deadline=None)
+def test_seifert_route_matches_alexander_and_is_unimodular(nl):
+    braid = BraidWord(*nl)
+    v = seifert_matrix(braid)
+    assert len(v) == len(braid.letters) - braid.strands + 1
+    assert alexander_seifert(braid) == alexander_checked(braid)
+    assert det_exact([[v[j][i] - v[i][j] for j in range(len(v))] for i in range(len(v))]) in (1, -1)
 
 
 @pytest.mark.parametrize("sign", (1, -1))

@@ -18,6 +18,7 @@ from knotcover.exact_linalg import (
 )
 from knotcover.invariants import (
     branched_cover_homology,
+    cover_homology,
     cyclic_product_magnitude,
     q_relative,
 )
@@ -300,15 +301,16 @@ def test_count_routes_agree_on_random_knots(nl, n):
     q = q_relative(delta, n)
     magnitude = cyclic_product_magnitude(delta, n)
     order = branched_cover_homology(delta, n).order()
+    seifert_order = cover_homology(braid, n).order()
     if q.degenerate:
-        assert magnitude == 0 and order is None
+        assert magnitude == 0 and order is None and seifert_order is None
         with pytest.raises(Degenerate):
             kernel_torus_solutions(delta, n, cap)
         with pytest.raises(Degenerate):
             wirtinger_torus_count(pres, n)
         return
     count = abs(q.value)
-    assert magnitude == order == count
+    assert magnitude == order == seifert_order == count
     assert wirtinger_torus_count(pres, n) == count
     if count <= cap:
         assert len(kernel_torus_solutions(delta, n, cap)) == count
