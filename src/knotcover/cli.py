@@ -140,6 +140,10 @@ def _cmd_repvar(args: argparse.Namespace) -> int:
     kernel_count = len(rep_variety.kernel_torus_solutions(delta, args.n, args.cap))
     wirt = rep_variety.wirtinger_torus_count(pres, args.n)
     group = invariants.cover_homology(braid, args.n)
+    if not kernel_count == wirt == group.order():
+        raise CrossCheckMismatch(
+            f"{kernel_count} kernel solutions, {wirt} Wirtinger solutions, cover homology {group.to_text()}"
+        )
     if args.json:
         _emit(
             {

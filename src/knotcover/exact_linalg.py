@@ -589,15 +589,6 @@ class CycNumber:
 
     __rmul__ = __mul__
 
-    def to_complex(self) -> complex:
-        import cmath
-
-        z = cmath.exp(2j * cmath.pi / self.n)
-        acc = 0j
-        for c in reversed(self.num):
-            acc = acc * z + c
-        return acc
-
     def __repr__(self):
         terms = [f"{c}*z^{i}" for i, c in enumerate(self.num) if c != 0]
         return f"CycNumber({self.n}: {' + '.join(terms) if terms else '0'})"

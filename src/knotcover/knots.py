@@ -36,6 +36,7 @@ and nothing of size N.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 from importlib import resources
 from typing import Iterable
@@ -181,18 +182,12 @@ class WirtingerPresentation:
     """
     A Wirtinger presentation of a knot group.  Each relation (k, i, j, s)
     reads m_k = m_j^s m_i m_j^-s: arc k continues arc i after passing under
-    the conjugating arc j at a crossing of sign s.  The longitude is a word
-    in the meridians, stored as (arc, sign) pairs, corrected by base-meridian
-    factors so its abelianization degree is zero.
+    the conjugating arc j at a crossing of sign s.
     """
 
     n_generators: int
     relations: tuple[tuple[int, int, int, int], ...]
     base_meridian: int
-    longitude_word: tuple[tuple[int, int], ...]
-
-    def longitude_degree(self) -> int:
-        return sum(s for _, s in self.longitude_word)
 
 
 def braid_closure_wirtinger(braid: BraidWord) -> WirtingerPresentation:
@@ -203,8 +198,8 @@ def braid_closure_wirtinger(braid: BraidWord) -> WirtingerPresentation:
     free unknot diagram).
 
     >>> pres = braid_closure_wirtinger(BraidWord(2, (1, 1, 1)))
-    >>> pres.n_generators, len(pres.relations), pres.longitude_degree()
-    (3, 3, 0)
+    >>> pres.n_generators, len(pres.relations)
+    (3, 3)
     """
     n = braid.strands
     parent = list(range(n + len(braid.letters)))
@@ -217,14 +212,12 @@ def braid_closure_wirtinger(braid: BraidWord) -> WirtingerPresentation:
 
     cur = list(range(n))
     raw_relations: list[tuple[int, int, int, int]] = []
-    crossings: list[tuple[int, int, int, int]] = []  # (a, b, sign, over_label)
     new = n
     for v in braid.letters:
         a, s = abs(v) - 1, (1 if v > 0 else -1)
         b = a + 1
         over, under = (cur[a], cur[b]) if s > 0 else (cur[b], cur[a])
         raw_relations.append((new, under, over, s))
-        crossings.append((a, b, s, over))
         if s > 0:
             cur[a], cur[b] = new, over
         else:
@@ -244,29 +237,10 @@ def braid_closure_wirtinger(braid: BraidWord) -> WirtingerPresentation:
     base = cls(0)
     relations = tuple((cls(k), cls(i), cls(j), s) for k, i, j, s in raw_relations)
     n_gen = len(labels)
-
-    # Walk the knot once around the closure, recording the over-arc at every
-    # under-crossing; a knot closure passes each top position exactly once.
-    longitude: list[tuple[int, int]] = []
-    p = 0
-    for _ in range(n):
-        for a, b, s, over in crossings:
-            if p not in (a, b):
-                continue
-            under_now = p == (b if s > 0 else a)
-            if under_now:
-                longitude.append((cls(over), s))
-            p = a + b - p
-    if p != 0:
-        raise InternalError("longitude walk did not close up")
-    w = braid.writhe()
-    longitude.extend([(base, -1 if w > 0 else 1)] * abs(w))
-
     return WirtingerPresentation(
         n_generators=n_gen,
         relations=relations,
         base_meridian=base,
-        longitude_word=tuple(longitude),
     )
 
 
@@ -445,7 +419,7 @@ def alexander_checked(braid: BraidWord) -> LaurentPoly:
 class KnotTable:
     """
     Named braid words loaded from a table file of "name: braid" lines.
-    The packaged default covers the standard small knots used throughout.
+    The packaged default, parsed once per process, holds the standard knots.
 
     >>> KnotTable.default().get("3_1")
     BraidWord(strands=2, letters=(1, 1, 1))
@@ -477,6 +451,7 @@ class KnotTable:
             return KnotTable.parse(fh.read())
 
     @staticmethod
+    @functools.cache
     def default() -> KnotTable:
         text = resources.files("knotcover").joinpath("tables/standard_knots.txt").read_text("utf-8")
         return KnotTable.parse(text)

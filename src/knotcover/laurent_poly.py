@@ -5,14 +5,14 @@ and cyclotomic polynomials.
 
 A Laurent polynomial is stored as a minimum degree plus a dense coefficient
 tuple, so t - 1 + t^-1 is LaurentPoly(-1, (1, -1, 1)).  An ordinary integer
-polynomial is a LaurentPoly with min_deg >= 0.
+polynomial is a LaurentPoly with min_deg >= 0.  Polynomials go out as text
+through to_text and are never read back in.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
 import itertools
-import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -83,9 +83,6 @@ class LaurentPoly:
         """False exactly for the zero polynomial, as for numbers."""
         return bool(self.coeffs)
 
-    def is_unit(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] in (1, -1)
-
     def max_deg(self) -> int:
         """Degree of the top term, or min_deg - 1 (garbage) for zero."""
         return self.min_deg + len(self.coeffs) - 1
@@ -146,16 +143,6 @@ class LaurentPoly:
         return LaurentPoly(self.min_deg + other.min_deg, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            if self.is_unit():
-                return LaurentPoly(-self.min_deg, self.coeffs) ** (-n)
-            raise ValueError("cannot invert a non-unit Laurent polynomial")
-        if n == 0:
-            return LaurentPoly(0, (1,))
-        half = self ** (n // 2)
-        return half * half if n % 2 == 0 else half * half * self
 
     def __truediv__(self, other: int | LaurentPoly) -> LaurentPoly:
         """
@@ -251,41 +238,6 @@ class LaurentPoly:
             term = f"{abs(c)}" if i == 0 else f"{abs(c)}*t^{i}"
             parts.append(sign + term)
         return "".join(parts)
-
-    @staticmethod
-    def from_text(text: str) -> LaurentPoly:
-        """
-        Parse the textual format.
-
-        >>> LaurentPoly.from_text("-1*t^-1 + 3 - 1*t^1")
-        LaurentPoly('-1*t^-1 + 3 - 1*t^1')
-        >>> LaurentPoly.from_text("0")
-        LaurentPoly('0')
-        """
-        s = text.strip()
-        if s == "0":
-            return LaurentPoly(0, ())
-        term = re.compile(r"\s*([+-]?)\s*(\d+)(?:\s*\*\s*t\^(-?\d+))?")
-        pos = 0
-        poly = LaurentPoly(0, ())
-        while pos < len(s):
-            m = term.match(s, pos)
-            if not m or m.end() == pos:
-                raise ValueError(f"cannot parse polynomial text at: {s[pos:]!r}")
-            sign, mag, exp = m.groups()
-            c = -int(mag) if sign == "-" else int(mag)
-            k = int(exp) if exp is not None else 0
-            poly = poly + LaurentPoly(k, (c,))
-            pos = m.end()
-        return poly
-
-    def to_json_obj(self) -> dict:
-        """The compact JSON form, e.g. {"min_deg": -1, "coeffs": [-1, 3, -1]}."""
-        return {"min_deg": self.min_deg, "coeffs": list(self.coeffs)}
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> LaurentPoly:
-        return LaurentPoly(int(obj["min_deg"]), [int(c) for c in obj["coeffs"]])
 
     @staticmethod
     @functools.lru_cache(maxsize=None)

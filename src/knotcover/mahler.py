@@ -18,6 +18,10 @@ from typing import Sequence
 from .invariants import cyclic_product_magnitudes
 from .laurent_poly import LaurentPoly
 
+# Backward-error target and iteration cap of poly_roots.
+ROOT_TOL = 1e-13
+ROOT_MAX_ITER = 300
+
 
 class NonConvergence(ArithmeticError):
     """The root finder failed to reach the residual target."""
@@ -37,16 +41,16 @@ class RootSet:
     iterations: int
 
 
-def poly_roots(p: LaurentPoly, tol: float = 1e-13, max_iter: int = 300) -> RootSet:
+def poly_roots(p: LaurentPoly) -> RootSet:
     """
     All complex roots by simultaneous Aberth-Ehrlich iteration, started on a
     circle enclosing every root.  A positive min_deg contributes that many
     roots at the origin; negative powers of t contribute none.  Convergence
-    is judged by backward error: every iterate z must reach
-    |p(z)| <= tol * sum_j |c_j| |z|^j, which makes z an exact root of a
-    coefficient-wise tol-perturbation of p.  (A target that ignores |z| is
-    unattainable when a root is large: the rounding error of evaluation
-    itself grows like |z|^deg.)
+    is judged by backward error: within ROOT_MAX_ITER sweeps every iterate z
+    must reach |p(z)| <= ROOT_TOL * sum_j |c_j| |z|^j, which makes z an exact
+    root of a coefficient-wise ROOT_TOL-perturbation of p.  (A target that
+    ignores |z| is unattainable when a root is large: the rounding error of
+    evaluation itself grows like |z|^deg.)
 
     >>> rs = poly_roots(LaurentPoly(0, (-2, 1, 1)))
     >>> sorted(round(r.real, 6) for r in rs.roots)
@@ -79,7 +83,7 @@ def poly_roots(p: LaurentPoly, tol: float = 1e-13, max_iter: int = 300) -> RootS
             acc = acc * r + c
         return acc
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, ROOT_MAX_ITER + 1):
         residual = 0.0
         moved = [0j] * deg
         for i, z in enumerate(zs):
@@ -100,13 +104,13 @@ def poly_roots(p: LaurentPoly, tol: float = 1e-13, max_iter: int = 300) -> RootS
                 continue
             moved[i] = z - ratio / denom
         zs = moved
-        if residual <= tol:
+        if residual <= ROOT_TOL:
             return RootSet(
                 roots=tuple([0j] * zeros_at_origin + zs),
                 residual_bound=residual,
                 iterations=it,
             )
-    raise NonConvergence(f"residual target not reached in {max_iter} iterations")
+    raise NonConvergence(f"residual target not reached in {ROOT_MAX_ITER} iterations")
 
 
 def mahler_measure_roots(delta: LaurentPoly) -> float:

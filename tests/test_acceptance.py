@@ -5,12 +5,17 @@ raises VerificationFailed carrying the exact inequality that broke; a passing
 one prints its PASS line with the measured detail.  Also: the package's
 exports.
 """
+import inspect
 import re
 
 import pytest
 
 import knotcover
 from knotcover.acceptance import CRITERIA, run_criteria
+from knotcover.exact_linalg import CycNumber
+from knotcover.knots import WirtingerPresentation
+from knotcover.laurent_poly import LaurentPoly
+from knotcover.mahler import poly_roots
 
 
 def _ident(entry):
@@ -50,3 +55,18 @@ def test_exports_resolve_and_deleted_names_are_gone():
     for name in deleted:
         assert name not in knotcover.__all__
         assert not hasattr(knotcover, name), name
+
+
+def test_test_only_members_are_gone():
+    # Members no product path read: the Wirtinger longitude, the polynomial
+    # parser, JSON form and powers, and the float view of a CycNumber.
+    gone = [
+        (WirtingerPresentation, ("longitude_word", "longitude_degree")),
+        (LaurentPoly, ("from_text", "to_json_obj", "from_json_obj", "__pow__", "is_unit")),
+        (CycNumber, ("to_complex",)),
+    ]
+    for owner, names in gone:
+        for name in names:
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+    assert "longitude_word" not in WirtingerPresentation.__dataclass_fields__
+    assert list(inspect.signature(poly_roots).parameters) == ["p"]

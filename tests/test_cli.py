@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from knotcover import acceptance, cli, exact_linalg, invariants, knots
+from knotcover import acceptance, cli, exact_linalg, invariants, knots, rep_variety
 from knotcover.cli import main
 from knotcover.exact_linalg import AbelianGroup
 from knotcover.invariants import cyclic_product_magnitude
@@ -184,6 +184,16 @@ def test_one_parser_serves_every_call(monkeypatch, capsys):
     assert built == []
 
 
+def test_default_table_is_parsed_once(monkeypatch, capsys):
+    parsed = []
+    parse = knots.KnotTable.parse
+    monkeypatch.setattr(knots.KnotTable, "parse", lambda text: parsed.append(text) or parse(text))
+    knots.KnotTable.default.cache_clear()
+    for argv in (["alexander", "3_1"], ["homology", "4_1", "--n", "3"], ["repvar", "3_1", "--n", "2"]):
+        assert run(capsys, *argv)[0] == 0
+    assert len(parsed) == 1
+
+
 def test_repvar_json(capsys):
     code, out, _ = run(capsys, "repvar", "3_1", "--n", "2", "--json")
     obj = json.loads(out)
@@ -206,6 +216,21 @@ def test_repvar_cap_exceeded(capsys):
     code, _, err = run(capsys, "repvar", "4_1", "--n", "3", "--cap", "2")
     assert code == 1
     assert err.startswith("error: CapExceeded:")
+
+
+def test_repvar_group_order_is_cross_checked(monkeypatch, capsys):
+    monkeypatch.setattr(invariants, "cover_homology", lambda braid, n: AbelianGroup((5,), 0))
+    code, out, err = run(capsys, "repvar", "3_1", "--n", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: CrossCheckMismatch:")
+
+
+def test_repvar_wirtinger_count_is_cross_checked(monkeypatch, capsys):
+    count = rep_variety.wirtinger_torus_count
+    monkeypatch.setattr(rep_variety, "wirtinger_torus_count", lambda pres, n: count(pres, n) + 1)
+    code, out, err = run(capsys, "repvar", "3_1", "--n", "2", "--json")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: CrossCheckMismatch:")
 
 
 def test_series_json(capsys):

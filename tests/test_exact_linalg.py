@@ -380,19 +380,16 @@ def test_cyc_rejects_non_integer_coefficients():
         Fraction(1, 3) * CycNumber.zeta(5)
 
 
-@pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 12))
-def test_cyc_to_complex_matches_root_of_unity(n):
-    z = CycNumber.zeta(n).to_complex()
-    want = complex(math.cos(2 * math.pi / n), math.sin(2 * math.pi / n))
-    assert abs(z - want) < 1e-12
-
-
 def test_eval_at_zeta_matches_complex_evaluation():
     delta = LaurentPoly(-1, (1, -1, 1))
     for n in (2, 3, 4, 5, 6):
         for k in range(1, n):
-            exact = eval_at_zeta(delta, n, k).to_complex()
-            z = complex(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n))
+            num = eval_at_zeta(delta, n, k).num
+            zeta = complex(math.cos(2 * math.pi / n), math.sin(2 * math.pi / n))
+            exact = 0j
+            for c in reversed(num):
+                exact = exact * zeta + c
+            z = zeta ** k
             assert abs(exact - delta.eval_complex(z)) < 1e-9
 
 

@@ -278,7 +278,6 @@ def test_wirtinger_shapes():
     pres = braid_closure_wirtinger(trefoil)
     assert pres.n_generators == 3
     assert len(pres.relations) == 3
-    assert pres.longitude_degree() == 0
     unknot = parse_braid("strands=1;")
     pres1 = braid_closure_wirtinger(unknot)
     assert pres1.n_generators == 1
@@ -287,7 +286,6 @@ def test_wirtinger_shapes():
     pres8 = braid_closure_wirtinger(fig8)
     assert pres8.n_generators == 4
     assert len(pres8.relations) == 4
-    assert pres8.longitude_degree() == 0
 
 
 def test_wirtinger_relations_reference_valid_arcs():

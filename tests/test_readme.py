@@ -1,5 +1,5 @@
 """Every `$ knotcover ...` example in README.md, run through the CLI, must
-print exactly what README shows."""
+print exactly what README shows, and README's Library snippet must run."""
 import pathlib
 import re
 import shlex
@@ -41,3 +41,10 @@ def test_readme_example(capsys, argv, expected):
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     assert captured.out == expected
+
+
+def test_readme_library_example():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
