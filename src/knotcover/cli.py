@@ -137,7 +137,7 @@ def _cmd_repvar(args: argparse.Namespace) -> int:
     pres = knots.braid_closure_wirtinger(braid)
     t3 = rep_variety.verify_t3_points(args.n)
     ladder = rep_variety.chern_simons_ladder(args.n)
-    kernel_count = len(rep_variety.kernel_torus_solutions(delta, args.n, args.cap))
+    kernel_count = rep_variety.kernel_torus_count(delta, args.n, args.cap)
     wirt = rep_variety.wirtinger_torus_count(pres, args.n)
     group = invariants.cover_homology(braid, args.n)
     if not kernel_count == wirt == group.order():

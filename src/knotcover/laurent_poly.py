@@ -95,23 +95,27 @@ class LaurentPoly:
     def __repr__(self):
         return f"LaurentPoly('{self.to_text()}')"
 
-    def __add__(self, other: int | LaurentPoly) -> LaurentPoly:
+    def _plus(self, other: int | LaurentPoly, sign: int) -> LaurentPoly:
+        # self + sign * other, sign = 1 or -1, in one pass over both.
         if isinstance(other, int):
             other = LaurentPoly(0, (other,))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if self.is_zero():
-            return other
         if other.is_zero():
             return self
+        if self.is_zero():
+            return other if sign > 0 else -other
         lo = min(self.min_deg, other.min_deg)
         hi = max(self.max_deg(), other.max_deg())
         out = [0] * (hi - lo + 1)
         for i, c in enumerate(self.coeffs):
             out[self.min_deg + i - lo] += c
         for i, c in enumerate(other.coeffs):
-            out[other.min_deg + i - lo] += c
+            out[other.min_deg + i - lo] += sign * c
         return LaurentPoly(lo, out)
+
+    def __add__(self, other: int | LaurentPoly) -> LaurentPoly:
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -119,10 +123,12 @@ class LaurentPoly:
         return LaurentPoly(self.min_deg, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: int | LaurentPoly) -> LaurentPoly:
-        return self + (-other)
+        return self._plus(other, -1)
 
-    def __rsub__(self, other: int | LaurentPoly) -> LaurentPoly:
-        return (-self) + other
+    def __rsub__(self, other: int) -> LaurentPoly:
+        if not isinstance(other, int):
+            return NotImplemented
+        return LaurentPoly(0, (other,))._plus(self, -1)
 
     def __mul__(self, other: int | LaurentPoly) -> LaurentPoly:
         """

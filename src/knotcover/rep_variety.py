@@ -15,7 +15,9 @@ torus acted on by the companion matrix of 1 + t + ... + t^(N-1), pins the
 base meridian, and counts rational solutions through the Smith normal form.
 The kernel points of delta(tau) are enumerated from the same form over the
 integers modulo the last invariant factor D, each re-verified as
-delta(tau) H = 0 mod D, and returned as coordinates H / D.
+delta(tau) H = 0 mod D.  kernel_torus_solutions returns them as coordinates
+H / D; kernel_torus_count, the CLI's route, counts the same re-verified
+enumeration without building any point.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import VerificationFailed
 from .exact_linalg import (
@@ -117,13 +119,37 @@ def _sparse_rank(rows: list[dict[int, CycNumber]]) -> int:
     return len(pivots)
 
 
+def _product_rows(
+    a: list[list[CycNumber]], b: list[list[CycNumber]]
+) -> list[dict[int, CycNumber]]:
+    # Row i of a * b as {j: entry}, multiplying only the nonzero entries of
+    # a against the nonzero entries of b: one zero scan of each matrix, then
+    # one ring product per pair of nonzeros that meet.  Every column absent
+    # from row i's dict holds zero, since no nonzero product reaches it.
+    support = [[(j, y) for j, y in enumerate(row) if not y.is_zero()] for row in b]
+    out: list[dict[int, CycNumber]] = []
+    for row in a:
+        acc: dict[int, CycNumber] = {}
+        for k, x in enumerate(row):
+            if x.is_zero():
+                continue
+            for j, y in support[k]:
+                term = x * y
+                acc[j] = acc[j] + term if j in acc else term
+        out.append(acc)
+    return out
+
+
 def verify_t3_points(n: int) -> int:
     """
     Verify, exactly, that the clock-shift pair is an irreducible commuting
     pair up to the scalar zeta, and return the number N of central-twist
     flat points.  Checks performed:
 
-    * clock * shift = zeta * (shift * clock), entrywise in Z[zeta_N];
+    * clock * shift = zeta * (shift * clock), compared at every one of the
+      N^2 entries in Z[zeta_N]; both products multiply only over nonzero
+      entries, so each costs O(N^2) zero scans and, for the monomial clock
+      and shift, O(N) ring products;
     * det(shift) = 1, det(clock) = (-1)^(N-1), each taken as det_exact of
       the integral lifts to Z[t] and reduced at zeta_N by eval_at_zeta;
     * zeta^N = 1 by N products, so each twist zeta^k I has det (zeta^N)^k = 1;
@@ -135,22 +161,14 @@ def verify_t3_points(n: int) -> int:
     """
     clock, shift = clock_shift(n)
     zeta = CycNumber.zeta(n)
-    one = CycNumber.one(n)
+    zero, one = CycNumber.zero(n), CycNumber.one(n)
 
-    def product_entry(a, b, i: int, j: int) -> CycNumber:
-        # Entry (i, j) of a * b; zero products are skipped, as in mat_mul.
-        acc = CycNumber.zero(n)
-        for k in range(n):
-            x, y = a[i][k], b[k][j]
-            if not (x.is_zero() or y.is_zero()):
-                acc = acc + x * y
-        return acc
-
+    left = _product_rows(clock, shift)
+    right = _product_rows(shift, clock)
     for i in range(n):
         for j in range(n):
-            left = product_entry(clock, shift, i, j)
-            right = product_entry(shift, clock, i, j)
-            if left != zeta * right:
+            r = right[i].get(j)
+            if left[i].get(j, zero) != (zero if r is None else zeta * r):
                 raise VerificationFailed(f"commutator defect at entry ({i}, {j})")
 
     if _det_at_zeta(shift) != one:
@@ -168,11 +186,12 @@ def verify_t3_points(n: int) -> int:
     def idx(i: int, j: int) -> int:
         return i * n + j
 
+    powers = [CycNumber.zeta(n, k) for k in range(n)]
     rows: list[dict[int, CycNumber]] = []
     for i in range(n):
         for j in range(n):
             if i != j:
-                rows.append({idx(i, j): CycNumber.zeta(n, j) - CycNumber.zeta(n, i)})
+                rows.append({idx(i, j): powers[j] - powers[i]})
     eps = -one if n % 2 == 0 else one
     for i in range(n):
         for j in range(n):
@@ -181,7 +200,7 @@ def verify_t3_points(n: int) -> int:
             row: dict[int, CycNumber] = {}
             row[idx(i, (j + 1) % n)] = coef_a
             key = idx((i - 1) % n, j)
-            row[key] = row.get(key, CycNumber.zero(n)) - coef_b
+            row[key] = row.get(key, zero) - coef_b
             rows.append(row)
     rank = _sparse_rank(rows)
     if rank != n * n - 1:
@@ -231,17 +250,20 @@ def chern_simons_ladder(n: int) -> ChernSimonsLadder:
     )
 
 
-def _torus_solutions(
-    matrix: Sequence[Sequence[int]], n: int, cap: int
-) -> list[TorusElement]:
-    # All h in (Q/Z)^cols with matrix * h integral, via the Smith normal
+def _kernel_points(
+    delta: LaurentPoly, n: int, cap: int
+) -> tuple[int, Iterator[list[int]]]:
+    # All h in (Q/Z)^(n-1) with delta(tau) h integral, via the Smith normal
     # form: with u a v = d, the solutions are v (c_1/d_1, ..., c_c/d_c) mod 1.
     # Every d_k divides the last factor D, so h = H / D with the integer
-    # vector H = v (c_1 D/d_1, ..., c_c D/d_c) mod D, and "matrix * h is
-    # integral" is exactly matrix * H = 0 mod D: the enumeration and the
-    # re-verification of each point against the original matrix run over
-    # the integers.  Fractions are built only for the returned coordinates.
-    rows = [list(map(int, r)) for r in matrix]
+    # vector H = v (c_1 D/d_1, ..., c_c D/d_c) mod D, and "delta(tau) h is
+    # integral" is exactly delta(tau) H = 0 mod D: the enumeration and the
+    # re-verification of each point against delta(tau) itself run over the
+    # integers.  Returns D and a generator of the vectors H; Degenerate and
+    # CapExceeded are raised here, before any point is enumerated.
+    if n < 2:
+        raise BadRank(f"need n >= 2, got {n}")
+    rows = poly_at_matrix(delta, n)
     form = smith_normal_form(rows)
     if form.rank < form.cols:
         raise Degenerate(
@@ -256,14 +278,16 @@ def _torus_solutions(
     # v[i][k] D/d_k mod D of row i over those k.
     active = [k for k, d in enumerate(ds) if d > 1]
     w = [[form.v[i][k] * (top // ds[k]) % top for k in active] for i in range(form.cols)]
-    out: list[TorusElement] = []
-    for combo in itertools.product(*(range(ds[k]) for k in active)):
-        h = [sum(map(operator.mul, combo, wi)) % top for wi in w]
-        for row in rows:
-            if sum(map(operator.mul, row, h)) % top:
-                raise VerificationFailed("reconstructed solution is not integral")
-        out.append(TorusElement(n, tuple(Fraction(x, top) for x in h)))
-    return out
+
+    def points() -> Iterator[list[int]]:
+        for combo in itertools.product(*(range(ds[k]) for k in active)):
+            h = [sum(map(operator.mul, combo, wi)) % top for wi in w]
+            for row in rows:
+                if sum(map(operator.mul, row, h)) % top:
+                    raise VerificationFailed("reconstructed solution is not integral")
+            yield h
+
+    return top, points()
 
 
 def kernel_torus_solutions(
@@ -278,9 +302,21 @@ def kernel_torus_solutions(
     >>> [t.coords for t in kernel_torus_solutions(LaurentPoly(-1, (1, -1, 1)), 2)]
     [(Fraction(0, 1),), (Fraction(1, 3),), (Fraction(2, 3),)]
     """
-    if n < 2:
-        raise BadRank(f"need n >= 2, got {n}")
-    return _torus_solutions(poly_at_matrix(delta, n), n, cap)
+    top, points = _kernel_points(delta, n, cap)
+    return [TorusElement(n, tuple(Fraction(x, top) for x in h)) for h in points]
+
+
+def kernel_torus_count(delta: LaurentPoly, n: int, cap: int = 100_000) -> int:
+    """
+    The number of points kernel_torus_solutions returns, counted from the
+    same integer enumeration with the same mod-D re-check of every point,
+    but without building the points.
+
+    >>> kernel_torus_count(LaurentPoly(-1, (1, -1, 1)), 2)
+    3
+    """
+    _, points = _kernel_points(delta, n, cap)
+    return sum(1 for _ in points)
 
 
 def wirtinger_torus_matrix(pres: WirtingerPresentation, n: int) -> list[list[int]]:

@@ -61,6 +61,18 @@ def test_ring_axioms(a, b, c):
     assert a - a == LaurentPoly.zero()
 
 
+@given(laurents, laurents, st.integers(min_value=-5, max_value=5))
+def test_subtraction_is_adding_the_negation(a, b, k):
+    assert a - b == a + (-b)
+    assert a - k == a + (-k)
+    assert k - a == (-a) + k
+    for bad in (Fraction(1, 2), 0.5, "t"):
+        with pytest.raises(TypeError):
+            a - bad
+        with pytest.raises(TypeError):
+            bad - a
+
+
 @given(laurents, laurents)
 def test_involution_is_a_ring_map(a, b):
     assert a.involute().involute() == a

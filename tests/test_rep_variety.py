@@ -30,6 +30,7 @@ from knotcover.rep_variety import (
     TorusElement,
     chern_simons_ladder,
     clock_shift,
+    kernel_torus_count,
     kernel_torus_solutions,
     verify_t3_points,
     wirtinger_torus_count,
@@ -108,6 +109,28 @@ def test_verify_t3_points_rejects_wrong_determinants(monkeypatch, n):
         verify_t3_points(n)
     monkeypatch.setattr(rep_variety, "clock_shift", lambda _: (negate(clock), shift))
     with pytest.raises(VerificationFailed, match="clock determinant"):
+        verify_t3_points(n)
+
+
+@pytest.mark.parametrize("n", (3, 5, 6))
+def test_verify_t3_points_rejects_a_wrong_clock(monkeypatch, n):
+    # A clock with diagonal zeta^(2i) has a commutator zeta^2 with the shift.
+    _, shift = clock_shift(n)
+    zero = CycNumber.zero(n)
+    clock = [[CycNumber.zeta(n, 2 * i) if i == j else zero for j in range(n)] for i in range(n)]
+    monkeypatch.setattr(rep_variety, "clock_shift", lambda _: (clock, shift))
+    with pytest.raises(VerificationFailed, match="commutator defect"):
+        verify_t3_points(n)
+
+
+def test_verify_t3_points_rejects_an_extra_shift_entry(monkeypatch):
+    # One nonzero entry off the permutation: both products must still be
+    # compared at every entry, not only along the permutation.
+    n = 5
+    clock, shift = clock_shift(n)
+    shift[2][4] = CycNumber.one(n)
+    monkeypatch.setattr(rep_variety, "clock_shift", lambda _: (clock, shift))
+    with pytest.raises(VerificationFailed, match="commutator defect"):
         verify_t3_points(n)
 
 
@@ -224,9 +247,36 @@ def test_kernel_solutions_reject_a_corrupted_transform(monkeypatch):
         return dataclasses.replace(form, v=tuple(map(tuple, v)))
 
     assert len(kernel_torus_solutions(delta, 4)) == 63
+    assert kernel_torus_count(delta, 4) == 63
     monkeypatch.setattr(rep_variety, "smith_normal_form", corrupted)
     with pytest.raises(VerificationFailed, match="not integral"):
         kernel_torus_solutions(delta, 4)
+    with pytest.raises(VerificationFailed, match="not integral"):
+        kernel_torus_count(delta, 4)
+
+
+def _outcome(route, *args):
+    try:
+        return route(*args)
+    except (Degenerate, CapExceeded) as exc:
+        return type(exc), str(exc)
+
+
+@given(braid_words(max_strands=4, max_letters=9), st.integers(min_value=2, max_value=8))
+@settings(max_examples=100, deadline=None)
+@example((2, [1, 1, 1]), 6)
+@example((3, [1, -2, 1, -2]), 6)
+def test_kernel_count_matches_the_points(nl, n):
+    # The count and the points come from one enumeration: the same number,
+    # or the same refusal, raised before any point is built.
+    delta = alexander_checked(BraidWord(*nl))
+    cap = 200
+    count = _outcome(kernel_torus_count, delta, n, cap)
+    points = _outcome(kernel_torus_solutions, delta, n, cap)
+    if isinstance(points, list):
+        assert count == len(points)
+    else:
+        assert count == points
 
 
 def test_det_at_zeta_rejects_non_integral_entries():
